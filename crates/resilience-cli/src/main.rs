@@ -51,7 +51,7 @@
 //! it derives the slice's distinct optima once, snapshots them, and hands
 //! the file to every worker spawn through the fault-plan env channel.
 //! `--optimum-server ADDR` instead resolves misses live against a running
-//! `serve --port` daemon, one pipelined burst per sweep block.
+//! `serve --port` daemon, one query per cache miss.
 //!
 //! Every sweep command expands a `SweepSpec` and shards its cells over
 //! `--threads` workers; results stream back in deterministic cell order, so
@@ -71,6 +71,8 @@
 // allowlisted SIMD modules. Enforced by `xtask lint` (crate-attrs).
 #![forbid(unsafe_code)]
 
+mod rows;
+
 use resilience::{
     grid_spec, parse_snapshot, reference_scenarios, snapshot_string, theorem4_batch,
     validation_scenarios, CostModel, OptimumCache, OptimumKey, PatternOptimum, Platform, Scenario,
@@ -81,8 +83,9 @@ use resilience_coord::{
 };
 use resilience_service::protocol::{ShardTrailer, WorkerEvent};
 use resilience_service::OptimumClient;
+use rows::{render_row, table_format};
 use serde::Serialize;
-use sim::executor::{CellResult, OptimumResolver, SimSettings, SweepExecutor};
+use sim::executor::{OptimumResolver, SimSettings, SweepExecutor};
 use sim::runner::thread_cap;
 use sim::{Backend, SimdEngine};
 use stats::rates::YEAR;
@@ -109,14 +112,14 @@ const GRID_SIM_MAX: usize = 10;
 const MIN_BATCH_OVER_EVENT: f64 = 3.0;
 const MIN_SIMD_OVER_BATCH: f64 = 1.3;
 /// Sweep-throughput guard floors: analytic cells/sec the threaded 100³
-/// grid must sustain. On a multicore host the partitioned thread-local
-/// path must clear 2M cells/s — a real scaling bar, though still well
+/// grid must sustain. On a multicore host the partitioned analytic loop
+/// must clear 2M cells/s — a real scaling bar, though still well
 /// under what it measures on dedicated hardware, so noisy CI neighbors
 /// don't decide the build. Single-core hosts (where "threaded" time-slices
 /// one core) keep the original structural floor, which only trips when
 /// per-cell allocation, dispatch overhead, or lock contention creeps back
 /// in. Threaded losing to serial on a multicore host is a hard failure:
-/// with thread-local caches and per-worker buffers there is no remaining
+/// with static partitions and per-worker batches there is no remaining
 /// excuse for parallelism costing throughput.
 const MIN_SWEEP_CELLS_PER_SEC: f64 = 50_000.0;
 const MIN_SWEEP_CELLS_PER_SEC_MULTICORE: f64 = 2_000_000.0;
@@ -396,8 +399,8 @@ fn parse_args() -> Args {
                      \x20                file (sorted, FNV-64-sealed, bit-exact keys) after the\n\
                      \x20                sweep — what --cache-in and the coordinator consume\n\
                      \x20 --optimum-server ADDR  sweep commands: resolve cache misses through a\n\
-                     \x20                running serve --port daemon at HOST:PORT (one pipelined\n\
-                     \x20                burst per sweep block) instead of deriving locally"
+                     \x20                running serve --port daemon at HOST:PORT (one query per\n\
+                     \x20                miss) instead of deriving locally"
                 ));
                 std::process::exit(0);
             }
@@ -624,33 +627,6 @@ fn recall_spec() -> SweepSpec {
     spec
 }
 
-/// Renders one result row. `n` is the per-segment partial-verification
-/// count derived from the pattern shape; `pv` is the true total per
-/// pattern (they differ from naive `pv/m` bookkeeping exactly when the
-/// pattern has no segments to divide by).
-fn render_cells(r: &CellResult) -> Vec<String> {
-    let pat = &r.optimum.pattern;
-    let mut cells = vec![
-        r.name.to_string(),
-        r.theorem.label().to_string(),
-        pat.guaranteed_verifs().to_string(),
-        pat.partials_per_segment().to_string(),
-        pat.partial_verifs().to_string(),
-        format!("{:.0}", r.optimum.work()),
-        format!("{:.3}", 100.0 * r.optimum.overhead),
-    ];
-    if let Some(rep) = &r.report {
-        cells.push(format!(
-            "{:.3} ± {:.3}",
-            100.0 * rep.overhead.mean,
-            100.0 * rep.overhead.ci95
-        ));
-        cells.push(format!("{:.2}", rep.checkpoints_per_hour()));
-        cells.push(format!("{:.2}", rep.recoveries_per_day()));
-    }
-    cells
-}
-
 /// Writes one line into the buffered table writer, exiting quietly when the
 /// downstream pipe closes (`grid --grid-size 100 | head` must not panic).
 fn put(w: &mut impl Write, line: &str) {
@@ -659,34 +635,13 @@ fn put(w: &mut impl Write, line: &str) {
     }
 }
 
-/// The sweep table's column layout (simulated sweeps append the
-/// Monte-Carlo columns).
-fn table_format(simulated: bool, name_width: usize) -> TableFormat {
-    let mut fmt = TableFormat::new()
-        .col("scenario", name_width, Align::Left)
-        .col("pattern", 9, Align::Left)
-        .col("m", 3, Align::Right)
-        .col("n", 3, Align::Right)
-        .col("pv", 4, Align::Right)
-        .col("W*(s)", 9, Align::Right)
-        .col("H*(%)", 9, Align::Right);
-    if simulated {
-        fmt = fmt
-            .col("sim(%) ± ci", 18, Align::Right)
-            .col("ckpt/h", 8, Align::Right)
-            .col("rec/d", 8, Align::Right);
-    }
-    fmt
-}
-
 /// Streams the sweep through the executor as a formatted table into any
-/// writer: rows render in deterministic cell order as their prefixes
-/// complete. Only the cells of `range` render; the header renders when
+/// writer: the workers render rows, which reach `w` in deterministic cell
+/// order. Only the cells of `range` render; the header renders when
 /// `with_header` (shard 0 or an unsharded run), so concatenating a shard
 /// partition's output reproduces the full table byte for byte. The first
-/// write error stops rendering (the executor still drains) and is
-/// returned — the stdout path maps it to a quiet exit, the coordinator's
-/// in-process fallback propagates it.
+/// write error stops the sweep and is returned — the stdout path maps it
+/// to a quiet exit, the coordinator's in-process fallback propagates it.
 fn render_table(
     executor: &SweepExecutor,
     spec: &SweepSpec,
@@ -697,27 +652,10 @@ fn render_table(
     w: &mut dyn Write,
 ) -> std::io::Result<()> {
     let fmt = table_format(sim.is_some(), name_width);
-    let mut err: Option<std::io::Error> = None;
-    {
-        let mut emit = |w: &mut dyn Write, line: &str| {
-            if err.is_none() {
-                if let Err(e) = writeln!(w, "{line}") {
-                    err = Some(e);
-                }
-            }
-        };
-        if with_header {
-            emit(w, &fmt.header());
-            emit(w, &fmt.rule());
-        }
-        executor.run_streaming_range(spec, range, sim, |r| {
-            emit(w, &fmt.row(&render_cells(&r)));
-        });
+    if with_header {
+        writeln!(w, "{}\n{}", fmt.header(), fmt.rule())?;
     }
-    match err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    executor.run_rendered_range(spec, range, sim, |r, buf| render_row(&fmt, r, buf), w)
 }
 
 /// Runs one sweep-table command to stdout, buffered — a million-cell grid
@@ -863,11 +801,11 @@ impl SweepBench {
 /// Worker threads for an *analytic* sweep: the request clamped to the
 /// host's parallelism. Analytic workers are uniformly loaded and purely
 /// CPU-bound, so oversubscribing cores cannot help — it only adds context
-/// switching and duplicate optimizer work across thread-local caches (the
+/// switching and duplicate optimizer work on shared cache misses (the
 /// 4× [`thread_cap`] oversubscription headroom exists for *simulated*
 /// sweeps, whose cells have uneven costs worth stealing around). On a
-/// single-core host this resolves to 1, which takes the executor's inline
-/// serial path — no pool at all.
+/// single-core host this resolves to 1, which runs the executor's one
+/// partition inline — no pool at all.
 fn analytic_threads(requested: usize) -> usize {
     requested.min(host_parallelism()).max(1)
 }
@@ -1203,8 +1141,8 @@ fn run_bench(args: &Args) {
         ));
     }
 
-    // Sweep throughput: the analytic hot path (streaming expansion,
-    // thread-local caches, SIMD theorem-4 batching) at 10³ and 10⁶ cells,
+    // Sweep throughput: the analytic hot path (streaming expansion and
+    // the shared optimum cache, without rendering) at 10³ and 10⁶ cells,
     // serial vs threaded.
     let sweeps = bench_sweeps(args);
     let sweep_json = sweep_json_entries(&sweeps);
@@ -1306,8 +1244,8 @@ fn sweep_floor(sweep: &SweepBench) -> f64 {
 
 /// Sweep-throughput floors for one grid; returns whether the build must
 /// fail. On a multicore host running threaded, threaded losing to serial
-/// is a hard failure: with thread-local caches and per-worker result
-/// buffers, parallelism costing throughput is a structural regression,
+/// is a hard failure: with static partitions and per-worker result
+/// batches, parallelism costing throughput is a structural regression,
 /// not runner noise.
 fn guard_sweep(sweep: &SweepBench) -> bool {
     let mut failed = false;
@@ -1563,10 +1501,9 @@ fn main() {
         args.threads
     };
     let executor = match &args.optimum_server {
-        // Live share: cache misses batch-query the daemon (one pipelined
-        // burst per sweep block) instead of deriving locally. The client
-        // sits behind a mutex because the resolver must be `Sync`; worker
-        // threads resolve one block at a time anyway.
+        // Live share: cache misses query the daemon (one query per miss)
+        // instead of deriving locally. The client sits behind a mutex
+        // because the resolver must be `Sync`.
         Some(addr) => {
             let client = OptimumClient::connect(addr)
                 .unwrap_or_else(|e| die(&format!("--optimum-server {addr}: cannot connect: {e}")));

@@ -207,3 +207,56 @@ fn auto_and_event_engines_agree_at_small_rep_counts() {
     ]);
     assert_eq!(auto, event);
 }
+
+#[test]
+fn closed_stdout_ends_the_million_cell_grid_quietly_and_early() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    use std::time::Instant;
+
+    // A quarter of the grid, run to completion: the yardstick a closed
+    // pipe must beat, since it would compute all four quarters if the
+    // workers kept going after the drain stopped.
+    let started = Instant::now();
+    run(&[
+        "grid",
+        "--grid-size",
+        "100",
+        "--threads",
+        "2",
+        "--shard",
+        "0/4",
+    ]);
+    let quarter = started.elapsed();
+
+    for threads in ["1", "2"] {
+        let started = Instant::now();
+        let mut child = Command::new(env!("CARGO_BIN_EXE_resilience-cli"))
+            .args(["grid", "--grid-size", "100", "--threads", threads])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let mut stdout = BufReader::new(child.stdout.take().expect("stdout"));
+        let mut first = String::new();
+        stdout.read_line(&mut first).expect("read the header");
+        assert!(first.starts_with("scenario"), "first line: {first:?}");
+        drop(stdout);
+        let out = child.wait_with_output().expect("binary exits");
+        let elapsed = started.elapsed();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.success(),
+            "--threads {threads}: exit {:?}",
+            out.status
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "--threads {threads}: {stderr}"
+        );
+        assert!(
+            elapsed < quarter,
+            "--threads {threads}: closed pipe took {elapsed:?}, a quarter of the grid {quarter:?}"
+        );
+    }
+}

@@ -2,11 +2,10 @@
 //!
 //! Connection handlers [`submit`](Batcher::submit) queries as they arrive;
 //! a single worker thread drains the queue in batches and answers each
-//! query over its own channel. Batching is what makes the daemon cheaper
-//! than per-request dispatch: one [`LocalOptimumCache`] probe pass answers
-//! repeated queries with a hash lookup, and the Theorem-4 misses of a whole
-//! batch go through the 8-lane [`theorem4_batch`] evaluator together
-//! instead of one scalar solve per request.
+//! query over its own channel. Optimum and sweep-cell queries go through
+//! the shared [`OptimumCache`], so a repeated query is one hash lookup and
+//! every derivation runs the same pure closed forms as a direct library
+//! call.
 //!
 //! The coalescing window adapts to load instead of being a fixed size:
 //! after the first query of a batch arrives, the worker keeps collecting
@@ -16,15 +15,11 @@
 //! that closes with a single query halves it (down to the minimum, so an
 //! idle daemon converges back to near-immediate dispatch and single
 //! clients never wait a stale long window). Batched answers are
-//! byte-identical to direct library calls because both the cache and the
-//! SIMD batch evaluator are pinned bit-identical to the scalar closed
-//! forms.
+//! byte-identical to direct library calls because a cache hit is
+//! bit-identical to the closed form it memoizes.
 
 use crate::protocol::{Query, Reply, ServiceStats};
-use resilience::{
-    first_order_overhead, grid_spec, theorem4_batch, CostModel, LocalOptimumCache, OptimumCache,
-    OptimumKey, Platform, Theorem, GRID_AXIS_LEN,
-};
+use resilience::{first_order_overhead, grid_spec, OptimumCache, GRID_AXIS_LEN};
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -184,7 +179,6 @@ struct WorkerState {
 }
 
 fn worker_loop(shared: &Shared, cache: &Arc<OptimumCache>) {
-    let mut local = LocalOptimumCache::new(cache);
     let mut ws = WorkerState {
         window_us: shared.cfg.min_window_us,
         requests: 0,
@@ -193,7 +187,7 @@ fn worker_loop(shared: &Shared, cache: &Arc<OptimumCache>) {
         max_batch: 0,
     };
     while let Some(batch) = next_batch(shared, ws.window_us) {
-        process_batch(batch, &mut local, cache, &mut ws, &shared.cfg);
+        process_batch(batch, cache, &mut ws, &shared.cfg);
     }
 }
 
@@ -235,51 +229,22 @@ fn next_batch(shared: &Shared, window_us: u64) -> Option<Vec<Job>> {
 
 /// What pass 1 resolved a job to; pass 2 turns it into a [`Reply`].
 enum Slot {
-    /// Reply fully determined (overheads, validation errors).
+    /// Reply fully determined (optima, overheads, validation errors).
     Done(Result<Reply, String>),
-    /// An optimum lookup pending in the local cache.
-    Optimum(OptimumKey),
-    /// A sweep-cell lookup pending in the local cache.
-    SweepCell {
-        key: OptimumKey,
-        index: u64,
-        name: String,
-        theorem: Theorem,
-    },
     /// Stats snapshot, taken after the batch's counters settle.
     Stats,
-    /// Optimum-store snapshot, rendered after the batch flushes so it
-    /// includes this very batch's freshly derived optima.
+    /// Optimum-store snapshot, rendered after pass 1 so it includes this
+    /// very batch's freshly derived optima.
     Snapshot,
 }
 
 fn process_batch(
     batch: Vec<Job>,
-    local: &mut LocalOptimumCache<'_>,
     cache: &Arc<OptimumCache>,
     ws: &mut WorkerState,
     cfg: &BatchConfig,
 ) {
-    // Pass 1: resolve each query to a slot, probing the cache and deferring
-    // every Theorem-4 miss so the whole batch's misses vectorize together.
-    let mut t4_pending: Vec<(OptimumKey, Platform, CostModel)> = Vec::new();
-    let resolve = |platform: &Platform,
-                   costs: &CostModel,
-                   theorem: Theorem,
-                   t4_pending: &mut Vec<(OptimumKey, Platform, CostModel)>,
-                   local: &mut LocalOptimumCache<'_>| {
-        let key = OptimumKey::new(platform, costs, theorem);
-        if local.probe(key).is_none() {
-            if theorem == Theorem::Four {
-                if !t4_pending.iter().any(|(k, _, _)| *k == key) {
-                    t4_pending.push((key, *platform, *costs));
-                }
-            } else {
-                local.insert_computed(key, theorem.optimize(platform, costs));
-            }
-        }
-        key
-    };
+    // Pass 1: answer every query that does not observe the batch itself.
     let slots: Vec<Slot> = batch
         .iter()
         .map(|job| match &job.query {
@@ -287,7 +252,7 @@ fn process_batch(
                 platform,
                 costs,
                 theorem,
-            } => Slot::Optimum(resolve(platform, costs, *theorem, &mut t4_pending, local)),
+            } => Slot::Done(Ok(Reply::Optimum(cache.optimum(platform, costs, *theorem)))),
             Query::Overhead {
                 pattern,
                 platform,
@@ -295,21 +260,14 @@ fn process_batch(
             } => Slot::Done(Ok(Reply::Overhead(first_order_overhead(
                 pattern, platform, costs,
             )))),
-            Query::SweepCell { grid_size, index } => match grid_cell(*grid_size, *index) {
-                Ok(cell) => Slot::SweepCell {
-                    key: resolve(
-                        &cell.platform,
-                        &cell.costs,
-                        cell.theorem,
-                        &mut t4_pending,
-                        local,
-                    ),
+            Query::SweepCell { grid_size, index } => {
+                Slot::Done(grid_cell(*grid_size, *index).map(|cell| Reply::SweepCell {
                     index: *index,
                     name: cell.name.to_string(),
                     theorem: cell.theorem,
-                },
-                Err(msg) => Slot::Done(Err(msg)),
-            },
+                    optimum: cache.optimum(&cell.platform, &cell.costs, cell.theorem),
+                }))
+            }
             Query::OptimumSnapshot => Slot::Snapshot,
             Query::Stats => Slot::Stats,
             // The servers answer shutdown before it reaches the queue; a
@@ -317,16 +275,6 @@ fn process_batch(
             Query::Shutdown => Slot::Done(Ok(Reply::ShuttingDown)),
         })
         .collect();
-
-    // The batch's distinct Theorem-4 misses in one SIMD pass.
-    if !t4_pending.is_empty() {
-        let cells: Vec<(Platform, CostModel)> =
-            t4_pending.iter().map(|(_, p, c)| (*p, *c)).collect();
-        for ((key, _, _), optimum) in t4_pending.iter().zip(theorem4_batch(&cells)) {
-            local.insert_computed(*key, optimum);
-        }
-    }
-    local.flush();
 
     // Counters settle before stats snapshots so a stats query observes its
     // own batch (including the window adaptation it caused).
@@ -347,18 +295,6 @@ fn process_batch(
     for (job, slot) in batch.iter().zip(slots) {
         let outcome = match slot {
             Slot::Done(outcome) => outcome,
-            Slot::Optimum(key) => Ok(Reply::Optimum(local.get(&key))),
-            Slot::SweepCell {
-                key,
-                index,
-                name,
-                theorem,
-            } => Ok(Reply::SweepCell {
-                index,
-                name,
-                theorem,
-                optimum: local.get(&key),
-            }),
             Slot::Snapshot => Ok(Reply::OptimumSnapshot(resilience::snapshot_string(cache))),
             Slot::Stats => Ok(Reply::Stats(ServiceStats {
                 requests: ws.requests,

@@ -4,10 +4,8 @@
 //! The client pipelines: it writes one [`Request`] line per query in a
 //! single flush and then reads the matching [`Response`] lines back in
 //! order (the daemon sequences replies per connection, even when it
-//! processes a batch out of order). Shipping a sweep block's misses as one
-//! burst is what lets the daemon's adaptive coalescing window gather them
-//! into few batches and answer the Theorem-4 ones through the 8-lane
-//! evaluator together.
+//! processes a batch out of order), so a burst of queries lets the daemon's
+//! adaptive coalescing window gather them into few batches.
 //!
 //! No threads, no timeouts, no retries: a worker that loses its optimum
 //! server has no correct way to continue except deriving locally, and the

@@ -9,21 +9,12 @@
 //! a result. Hit/miss counters are exposed so sweeps (and tests) can assert
 //! that repeated cells actually skip recomputation.
 //!
-//! Two access disciplines share the store:
-//!
-//! * [`OptimumCache::optimum`] — the shared per-query path (serial sweeps,
-//!   simulated runs): sharded locks, counters bumped per query.
-//! * [`LocalOptimumCache`] — a thread-*local* memo for sweep workers. Each
-//!   worker answers its own queries from a private unlocked map and touches
-//!   the shared cache only to [`LocalOptimumCache::flush`] at block
-//!   boundaries, so the per-cell lock rendezvous disappears entirely. The
-//!   flush reconciles statistics so the merged totals are *deterministic*:
-//!   a query is a **miss** exactly when its entry is new to the shared
-//!   cache at merge time, and a **hit** otherwise — duplicated computation
-//!   across workers (two workers deriving the same optimum privately)
-//!   reclassifies as a hit when the second merge finds the entry present.
-//!   Consequently `misses == distinct keys` and `hits == queries − misses`
-//!   for any worker count and any schedule, matching the serial run.
+//! Statistics are *schedule-independent*: a query counts as a **miss**
+//! exactly when its insert wins the vacant entry, and as a **hit**
+//! otherwise. Two workers that derive the same optimum concurrently
+//! therefore report one miss and one hit, so `misses == distinct keys` and
+//! `hits == queries − misses` for any worker count and any schedule,
+//! matching the serial run.
 //!
 //! Thread-safe and shareable (`Arc<OptimumCache>`), and sharded for
 //! million-cell sweeps: the map is split into [`SHARD_COUNT`] independently
@@ -32,12 +23,13 @@
 //! atomics touched strictly *outside* any lock. The optimization itself
 //! also runs outside the lock, so concurrent misses on *different* keys
 //! never serialize. Concurrent misses on the *same* key may both compute;
-//! the optimizers are pure, so both arrive at the same value and the first
-//! insert wins.
+//! the optimizers are pure, so both arrive at the same value, the first
+//! insert wins and counts the miss.
 
 use crate::optimal::PatternOptimum;
 use crate::platform::{CostModel, Platform};
 use crate::sweep::Theorem;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -252,29 +244,38 @@ impl OptimumCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return found;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         // Optimize outside the lock: concurrent misses on distinct keys
         // must not serialize behind one Theorem-4 derivation.
         let opt = theorem.optimize(platform, costs);
-        lock(shard).entry(key).or_insert_with(|| opt.clone());
+        let won = match lock(shard).entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(opt.clone());
+                true
+            }
+            Entry::Occupied(_) => false,
+        };
+        // Only the insert that wins the entry is a miss, so concurrent
+        // derivations of one key still total one miss.
+        let counter = if won { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
         opt
     }
 
-    /// Looks up an entry without touching the hit/miss counters — the
-    /// consult path of a [`LocalOptimumCache`], whose statistics are
-    /// reconciled at flush time instead of per query.
+    /// Looks up an entry without touching the hit/miss counters; callers
+    /// that derive misses elsewhere account for their queries through
+    /// [`merge`](Self::merge).
     pub fn lookup(&self, key: &OptimumKey) -> Option<PatternOptimum> {
         lock(self.shard(key)).get(key).cloned()
     }
 
-    /// Merges one worker's block of privately computed entries plus its
-    /// query count: each entry new to the shared map counts as a miss, and
-    /// every remaining query as a hit. Entries already present (another
-    /// worker merged first, or the cache was pre-warmed) are dropped — the
-    /// optimizers are pure, so the stored value is bit-identical — which
-    /// is what makes the merged totals schedule-independent: summed over
-    /// all flushes, `misses` is exactly the number of distinct new keys and
-    /// `hits` is `queries − misses`, no matter how cells were partitioned.
+    /// Merges a batch of externally derived entries plus its query count:
+    /// each entry new to the map counts as a miss, and every remaining
+    /// query as a hit. Entries already present (another worker merged
+    /// first, or the cache was pre-warmed) are dropped — the optimizers are
+    /// pure, so the stored value is bit-identical — which is what makes the
+    /// merged totals schedule-independent: summed over all merges, `misses`
+    /// is exactly the number of distinct new keys and `hits` is
+    /// `queries − misses`, no matter how cells were partitioned.
     pub fn merge(
         &self,
         entries: impl IntoIterator<Item = (OptimumKey, PatternOptimum)>,
@@ -283,7 +284,7 @@ impl OptimumCache {
         let mut new_entries = 0u64;
         for (key, value) in entries {
             let mut map = lock(self.shard(&key));
-            if let std::collections::hash_map::Entry::Vacant(slot) = map.entry(key) {
+            if let Entry::Vacant(slot) = map.entry(key) {
                 slot.insert(value);
                 new_entries += 1;
             }
@@ -361,105 +362,6 @@ impl OptimumCache {
 /// only touched under their locks and nothing panics while holding one.
 fn lock(shard: &Shard) -> std::sync::MutexGuard<'_, Map> {
     shard.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// A sweep worker's private, unlocked optimum memo over a shared
-/// [`OptimumCache`].
-///
-/// The worker answers every query from its own map; computed entries
-/// accumulate in a pending list and reach the shared cache only at
-/// [`flush`](Self::flush) (block boundaries and worker exit). The shared
-/// map is consulted per *locally-new* key only when it held entries at
-/// construction time (`consult_shared`) — a cold sweep therefore runs
-/// entirely lock-free, while an executor reusing a warm cache still
-/// benefits from previous runs' optima.
-///
-/// Statistics discipline: [`probe`](Self::probe) counts one query;
-/// [`flush`](Self::flush) reconciles via [`OptimumCache::merge`], so the
-/// shared counters end up schedule-independent (see the module docs).
-#[derive(Debug)]
-pub struct LocalOptimumCache<'a> {
-    shared: &'a OptimumCache,
-    consult_shared: bool,
-    map: HashMap<OptimumKey, PatternOptimum, KeyHashBuilder>,
-    pending: Vec<(OptimumKey, PatternOptimum)>,
-    queries: u64,
-}
-
-impl<'a> LocalOptimumCache<'a> {
-    /// A fresh local memo over `shared`. Captures whether the shared map
-    /// currently holds entries: only then is it consulted on local misses,
-    /// so cold sweeps never touch a lock between flushes.
-    pub fn new(shared: &'a OptimumCache) -> Self {
-        Self {
-            consult_shared: !shared.is_empty(),
-            shared,
-            map: HashMap::default(),
-            pending: Vec::new(),
-            queries: 0,
-        }
-    }
-
-    /// Registers one query for `key` and returns its optimum when already
-    /// known (locally, or adopted from the warm shared cache) — one hash
-    /// lookup answers the query outright, the sweep hot path's common case.
-    /// When this returns `None` the caller computes the optimum and hands
-    /// it back through [`insert_computed`](Self::insert_computed).
-    pub fn probe(&mut self, key: OptimumKey) -> Option<PatternOptimum> {
-        self.queries += 1;
-        if let Some(found) = self.map.get(&key) {
-            return Some(found.clone());
-        }
-        if self.consult_shared {
-            if let Some(found) = self.shared.lookup(&key) {
-                // Adopted, not computed: never re-merged (it is already in
-                // the shared map, so merging it would be a no-op anyway).
-                self.map.insert(key, found.clone());
-                return Some(found);
-            }
-        }
-        None
-    }
-
-    /// Stores a computed optimum for a key previously reported unknown by
-    /// [`probe`](Self::probe). First store wins — callers batching several
-    /// cells between probe and insert may legitimately compute one key
-    /// twice (the optimizers are pure, both values are bit-identical), and
-    /// only the first reaches the pending merge list.
-    pub fn insert_computed(&mut self, key: OptimumKey, optimum: PatternOptimum) {
-        if let std::collections::hash_map::Entry::Vacant(slot) = self.map.entry(key) {
-            slot.insert(optimum.clone());
-            self.pending.push((key, optimum));
-        }
-    }
-
-    /// The locally known optimum for `key`.
-    ///
-    /// # Panics
-    /// Panics when the key was never probed/inserted — a caller sequencing
-    /// bug, not a data condition.
-    pub fn get(&self, key: &OptimumKey) -> PatternOptimum {
-        self.map
-            .get(key)
-            .cloned()
-            .expect("local cache get() of a key that was never resolved")
-    }
-
-    /// Queries registered since the last flush.
-    pub fn pending_queries(&self) -> u64 {
-        self.queries
-    }
-
-    /// Merges pending entries and query counts into the shared cache (see
-    /// [`OptimumCache::merge`]) and resets the pending state. The local
-    /// map keeps its entries — locality is the point.
-    pub fn flush(&mut self) {
-        if self.queries == 0 && self.pending.is_empty() {
-            return;
-        }
-        self.shared.merge(self.pending.drain(..), self.queries);
-        self.queries = 0;
-    }
 }
 
 #[cfg(test)]
@@ -551,28 +453,18 @@ mod tests {
     }
 
     #[test]
-    fn local_cache_reconciles_exact_totals_on_flush() {
+    fn merge_reconciles_exact_totals() {
         let shared = OptimumCache::new();
         let s = &reference_scenarios()[0];
-        let mut local = LocalOptimumCache::new(&shared);
         let key = OptimumKey::new(&s.platform, &s.costs, Theorem::Four);
-        assert!(local.probe(key).is_none(), "cold key must report unknown");
-        local.insert_computed(key, Theorem::Four.optimize(&s.platform, &s.costs));
-        for _ in 0..9 {
-            assert!(
-                local.probe(key).is_some(),
-                "local repeats must not recompute"
-            );
-        }
-        assert_eq!(local.pending_queries(), 10);
-        // Nothing reaches the shared counters before the flush.
-        assert_eq!(shared.stats().hits + shared.stats().misses, 0);
-        local.flush();
+        let value = Theorem::Four.optimize(&s.platform, &s.costs);
+        // One derived entry answering ten queries: one miss, nine hits.
+        shared.merge([(key, value.clone())], 10);
         let stats = shared.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 9);
         assert_eq!(stats.entries, 1);
-        assert_eq!(local.pending_queries(), 0, "flush resets the query count");
+        assert_eq!(shared.lookup(&key), Some(value));
     }
 
     #[test]
@@ -584,15 +476,8 @@ mod tests {
         let s = &reference_scenarios()[0];
         let key = OptimumKey::new(&s.platform, &s.costs, Theorem::Three);
         let value = Theorem::Three.optimize(&s.platform, &s.costs);
-        // Both workers start before either flushes (the executor spawns all
-        // locals up front), so both derive the value privately.
-        let mut locals: Vec<_> = (0..2).map(|_| LocalOptimumCache::new(&shared)).collect();
-        for local in &mut locals {
-            assert!(local.probe(key).is_none());
-            local.insert_computed(key, value.clone());
-        }
-        for local in &mut locals {
-            local.flush();
+        for _ in 0..2 {
+            shared.merge([(key, value.clone())], 1);
         }
         let stats = shared.stats();
         assert_eq!(stats.misses, 1, "one distinct key, one miss");
@@ -607,40 +492,20 @@ mod tests {
         // Pre-warm through the per-query path: 1 miss.
         shared.optimum(&s.platform, &s.costs, Theorem::Two);
         let key = OptimumKey::new(&s.platform, &s.costs, Theorem::Two);
-        let mut local = LocalOptimumCache::new(&shared);
         assert_eq!(
-            local.probe(key),
+            shared.lookup(&key),
             Some(Theorem::Two.optimize(&s.platform, &s.costs)),
-            "warm entry must be adopted, not recomputed"
+            "warm entry must be found, not recomputed"
         );
-        assert_eq!(
-            local.get(&key),
-            Theorem::Two.optimize(&s.platform, &s.costs)
-        );
-        local.flush();
+        // A merged query whose entry is already present is a hit.
+        shared.merge([(key, Theorem::Two.optimize(&s.platform, &s.costs))], 1);
         let stats = shared.stats();
         assert_eq!(stats.misses, 1, "pre-warm miss only");
-        assert_eq!(stats.hits, 1, "the adopted query is a hit");
+        assert_eq!(stats.hits, 1, "the covered query is a hit");
     }
 
     #[test]
-    fn cold_local_cache_never_locks_between_flushes() {
-        // Observable contract: with an empty shared cache at construction,
-        // probes of unknown keys return false without consulting shared —
-        // even for keys inserted into shared after construction.
-        let shared = OptimumCache::new();
-        let s = &reference_scenarios()[0];
-        let mut local = LocalOptimumCache::new(&shared);
-        shared.optimum(&s.platform, &s.costs, Theorem::One);
-        let key = OptimumKey::new(&s.platform, &s.costs, Theorem::One);
-        assert!(
-            local.probe(key).is_none(),
-            "cold locals must not observe late shared inserts"
-        );
-    }
-
-    #[test]
-    fn seeding_touches_no_counters_and_makes_locals_consult_shared() {
+    fn seeding_touches_no_counters_and_seeded_keys_hit() {
         let warm = OptimumCache::new();
         let s = &reference_scenarios()[0];
         let key = OptimumKey::new(&s.platform, &s.costs, Theorem::Four);
@@ -648,14 +513,9 @@ mod tests {
         warm.seed([(key, value.clone())]);
         assert_eq!(warm.stats().hits + warm.stats().misses, 0);
         assert_eq!(warm.len(), 1);
-        // A local over the seeded cache adopts the entry as a hit.
-        let mut local = LocalOptimumCache::new(&warm);
-        assert_eq!(local.probe(key), Some(value.clone()));
-        local.flush();
-        assert_eq!(warm.stats().hits, 1);
-        assert_eq!(warm.stats().misses, 0);
-        // And the per-query path hits too, with zero derivations.
+        // The per-query path hits the seeded entry, with zero derivations.
         assert_eq!(warm.optimum(&s.platform, &s.costs, Theorem::Four), value);
+        assert_eq!(warm.stats().hits, 1);
         assert_eq!(warm.stats().misses, 0);
     }
 
@@ -707,15 +567,40 @@ mod tests {
         let s = &reference_scenarios()[0];
         let key = OptimumKey::new(&s.platform, &s.costs, Theorem::Four);
         let value = Theorem::Four.optimize(&s.platform, &s.costs);
-        let mut local = LocalOptimumCache::new(&shared);
-        assert!(local.probe(key).is_none());
-        assert!(local.probe(key).is_none(), "unresolved key stays unknown");
-        local.insert_computed(key, value.clone());
-        local.insert_computed(key, value.clone());
-        local.flush();
+        shared.merge([(key, value.clone()), (key, value.clone())], 2);
         let stats = shared.stats();
         assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 1, "both probes counted, one miss");
+        assert_eq!(stats.hits, 1, "both queries counted, one miss");
         assert_eq!(stats.entries, 1);
+    }
+
+    #[test]
+    fn concurrent_overlapping_queries_total_exactly() {
+        // Every thread queries every key in the same order from a common
+        // start, so the threads race to derive the same entries. Only the
+        // insert that wins an entry counts as a miss, so the totals cannot
+        // depend on the schedule.
+        let cache = OptimumCache::new();
+        let base = reference_scenarios()[0];
+        let keys = 200u64;
+        let threads = 4u64;
+        let start = std::sync::Barrier::new(threads as usize);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                let (cache, start) = (&cache, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for k in 0..keys {
+                        let mut costs = base.costs;
+                        costs.checkpoint = 60.0 + k as f64;
+                        cache.optimum(&base.platform, &costs, Theorem::Four);
+                    }
+                });
+            }
+        });
+        let stats = cache.stats();
+        assert_eq!(stats.misses, keys, "misses must equal distinct keys");
+        assert_eq!(stats.hits, keys * (threads - 1));
+        assert_eq!(stats.entries, keys as usize);
     }
 }

@@ -49,7 +49,7 @@ pub mod snapshot;
 pub mod sweep;
 pub mod wire;
 
-pub use cache::{CacheStats, LocalOptimumCache, OptimumCache, OptimumKey};
+pub use cache::{CacheStats, OptimumCache, OptimumKey};
 pub use optimal::{
     eq18_chunks, eq18_value, theorem1, theorem2, theorem3, theorem4, theorem4_batch,
     theorem4_batch_with, young_daly, PatternOptimum,

@@ -93,7 +93,20 @@ impl fmt::Display for CellName {
                 nodes,
                 mtbf_years,
                 recall,
-            } => write!(f, "{nodes}n-{mtbf_years:.0}y-r{recall}"),
+            } => {
+                // The grid's MTBF axis is integral, and core formats an
+                // exactly integral float with `{:.0}` through its slow
+                // exact-mode fallback. Below 2^53 the integer has the same
+                // digits; -0.0 (which `{:.0}` prints as "-0") and every
+                // non-integral value fail the bit comparison and stay on
+                // the float path.
+                let whole = *mtbf_years as u64;
+                if whole < 1 << 53 && (whole as f64).to_bits() == mtbf_years.to_bits() {
+                    write!(f, "{nodes}n-{whole}y-r{recall}")
+                } else {
+                    write!(f, "{nodes}n-{mtbf_years:.0}y-r{recall}")
+                }
+            }
         }
     }
 }
@@ -462,6 +475,40 @@ mod tests {
 
     use super::*;
     use crate::scenario::reference_scenarios;
+
+    #[test]
+    fn grid_names_print_years_exactly_as_fixed_point() {
+        let two53 = (1u64 << 53) as f64;
+        let mut years: Vec<f64> = (0..GRID_AXIS_LEN).map(grid_mtbf_years_at).collect();
+        years.extend([
+            0.0,
+            -0.0,
+            0.5,
+            2.5,
+            -25.0,
+            1e-300,
+            f64::from_bits(1),
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ]);
+        for y in years {
+            let name = CellName::GridPoint {
+                nodes: 1_000,
+                mtbf_years: y,
+                recall: 0.35,
+            };
+            assert_eq!(
+                name.to_string(),
+                format!("1000n-{y:.0}y-r0.35"),
+                "years {y:e}"
+            );
+        }
+    }
 
     #[test]
     fn cells_expand_row_major_with_contiguous_indices() {

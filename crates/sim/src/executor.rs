@@ -3,38 +3,37 @@
 //!
 //! Two dispatch shapes, chosen by what a cell costs:
 //!
-//! * **Analytic sweeps** (`sim == None`, cells cost microseconds) use a
-//!   *static partition*: the index range is split into one contiguous
-//!   near-equal slice per worker — the same slice formula as cross-process
-//!   `--shard` — so each worker is the single producer for its range. A
-//!   worker walks its slice in blocks, memoizes optima in a private
-//!   [`LocalOptimumCache`] (merged into the shared [`OptimumCache`] only at
-//!   flush boundaries, so there is no per-cell lock rendezvous), evaluates
-//!   Theorem-4 misses 8 lanes at a time through
-//!   [`theorem4_batch`], and buffers results locally,
-//!   shipping a few thousand cells per channel send. Because each worker's
-//!   channel receives blocks in index order and worker ranges tile the
-//!   range in order, the emitter just drains the channels worker by worker
-//!   — no reorder buffer at all.
-//! * **Simulated sweeps** (`sim == Some`) keep per-cell work stealing off an
-//!   atomic cursor: per-cell cost dwarfs dispatch, and cell-level stealing
-//!   is what keeps expensive cells from stalling cheap ones. Results funnel
-//!   through a per-cell reorder buffer.
+//! * **Analytic sweeps** (`sim == None`, cells cost microseconds) run one
+//!   loop for every worker count: a *static partition*. The index range is
+//!   split into one contiguous near-equal slice per worker — the same slice
+//!   formula as cross-process `--shard` — and each worker walks its slice
+//!   in index order, taking every cell's optimum through the shared
+//!   [`OptimumCache`] and folding the result into a batch: rendered rows
+//!   appended to a reused byte buffer for
+//!   [`SweepExecutor::run_rendered_range`], or [`CellResult`]s for
+//!   [`SweepExecutor::run_streaming_range`]. Full batches cross a
+//!   per-worker channel. Because each worker is the single producer for its
+//!   range and worker ranges tile the range in order, the emitter drains
+//!   the channels worker by worker, as batches arrive — no reorder buffer.
+//!   Serial is the one-partition case, run inline on the calling thread.
+//! * **Simulated sweeps** (`sim == Some`) with more than one worker keep
+//!   per-cell work stealing off an atomic cursor: per-cell cost dwarfs
+//!   dispatch, and cell-level stealing is what keeps expensive cells from
+//!   stalling cheap ones. Results funnel through a per-cell reorder buffer
+//!   and are rendered on the emitting thread.
 //!
 //! Determinism is structural, not incidental:
 //!
-//! * every cell's optimum comes from the pure closed-form optimizers —
-//!   through the shared [`OptimumCache`] or a worker's private memo, whose
-//!   bit-exact keys make a hit indistinguishable from a recomputation, and
-//!   through [`theorem4_batch`], whose lanes are bit-identical to the
-//!   scalar path;
-//! * cache *statistics* are schedule-independent too: local caches merge
-//!   with reclassification (a query is a miss iff its entry is globally
-//!   new), so threaded totals equal the serial run's exactly;
+//! * every cell's optimum comes from the pure closed-form optimizers
+//!   through the shared [`OptimumCache`], whose bit-exact keys make a hit
+//!   indistinguishable from a recomputation;
+//! * cache *statistics* are schedule-independent too: a query is a miss
+//!   exactly when its insert wins the vacant entry, so threaded totals
+//!   equal the serial run's exactly;
 //! * every cell's Monte-Carlo seed is derived from `(base seed, cell index)`
 //!   by [`cell_seed`], never from which worker ran it;
-//! * results are emitted in increasing cell index as soon as each prefix
-//!   completes.
+//! * results are emitted in increasing cell index, and a row's bytes
+//!   depend only on its cell, not on the worker that rendered it.
 //!
 //! Consequently the output is byte-identical to the serial loop at a fixed
 //! seed for any worker count — `tests/executor.rs` asserts this
@@ -45,10 +44,10 @@
 
 use crate::engine::Backend;
 use crate::runner::{run_replications, RunConfig, SimReport};
-use resilience::cache::{LocalOptimumCache, OptimumCache, OptimumKey};
-use resilience::optimal::theorem4_batch;
+use resilience::cache::{OptimumCache, OptimumKey};
 use resilience::platform::{CostModel, Platform};
 use resilience::sweep::{CellName, SweepCell, SweepSpec, Theorem};
+use std::io::{self, Write};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -101,19 +100,20 @@ pub fn cell_seed(base: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Cells per analytic evaluation block: one probe/batch-evaluate/resolve
-/// round over one contiguous slice of a worker's range. Large enough to
-/// fill many 8-lane packs per [`theorem4_batch`] call, small enough that
-/// the per-block scratch stays in cache.
-const ANALYTIC_BLOCK: usize = 256;
-/// Blocks between flushes: every `ANALYTIC_BLOCK · ANALYTIC_BLOCKS_PER_FLUSH`
-/// cells a worker merges its local cache into the shared one and ships its
-/// buffered results in one channel send.
-const ANALYTIC_BLOCKS_PER_FLUSH: usize = 16;
+/// Bytes of rendered rows a worker collects before shipping them: large
+/// enough that channel sends and `write` calls are rare, small enough that
+/// the emitter starts writing long before a partition is done.
+const CHUNK_BYTES: usize = 64 * 1024;
+/// Headroom left in a chunk for the next row, so a row of ordinary width
+/// never makes the chunk reallocate.
+const ROW_SLACK: usize = 512;
+/// Analytic [`CellResult`]s a worker collects before shipping them.
+const RESULTS_PER_SEND: usize = 4096;
 
-/// Resolves a batch of optimum queries in place of the local closed forms
-/// — the live-share hook: the CLI installs a daemon client here for
+/// Resolves optimum queries in place of the local closed forms — the
+/// live-share hook: the CLI installs a daemon client here for
 /// `--optimum-server` workers, so this crate stays free of any socket I/O.
+/// Workers call it with one query per cache miss.
 /// Must return exactly one optimum per query, in order, and must be
 /// bit-identical to `theorem.optimize(platform, costs)` (the daemon runs
 /// the same pure optimizers over a lossless wire, so it is — which is what
@@ -178,8 +178,8 @@ impl SweepExecutor {
 
     /// The worker count this executor will use for `total` cells — the
     /// configured thread count clamped to the cell count (never below 1).
-    /// `effective_workers(total) == 1` means the inline serial path: no
-    /// pool is spawned at all.
+    /// `effective_workers(total) == 1` means the one partition runs inline
+    /// on the calling thread: no pool is spawned at all.
     pub fn effective_workers(&self, total: usize) -> usize {
         self.threads.min(total).max(1)
     }
@@ -210,8 +210,9 @@ impl SweepExecutor {
     }
 
     /// Runs the sweep, invoking `emit` once per cell in increasing cell
-    /// index — streaming: result `i` is emitted as soon as cells `0..=i`
-    /// have all finished, not after the whole sweep.
+    /// index — streaming: results are emitted as their prefix of the range
+    /// completes (simulated cells one by one, analytic cells a few thousand
+    /// at a time), not after the whole sweep.
     pub fn run_streaming(
         &self,
         spec: &SweepSpec,
@@ -236,215 +237,156 @@ impl SweepExecutor {
         sim: Option<SimSettings>,
         mut emit: impl FnMut(CellResult),
     ) {
+        // A simulated cell is worth emitting the moment it is done.
+        let per_send = if sim.is_some() { 1 } else { RESULTS_PER_SEND };
+        self.drive(
+            spec,
+            range,
+            sim,
+            Vec::new,
+            |batch: &mut Vec<CellResult>, r| {
+                batch.push(r);
+                batch.len() >= per_send
+            },
+            |batch| {
+                batch.drain(..).for_each(&mut emit);
+                true
+            },
+        );
+    }
+
+    /// Runs the cells of `range` like
+    /// [`run_streaming_range`](Self::run_streaming_range), but hands each
+    /// finished cell to `render`, which appends its row to a byte buffer.
+    /// Analytic cells are rendered on the worker that computed them, into a
+    /// buffer reused across rows; the rendered bytes reach `out` in
+    /// increasing cell order, in chunks of about 64 KiB. Simulated rows
+    /// reach `out` one by one, as their prefix of the range completes.
+    ///
+    /// The first write error stops the workers and is returned, so a closed
+    /// downstream pipe ends the sweep instead of finishing it unread.
+    ///
+    /// # Panics
+    /// Panics when `range` exceeds `0..spec.len()`.
+    pub fn run_rendered_range(
+        &self,
+        spec: &SweepSpec,
+        range: Range<usize>,
+        sim: Option<SimSettings>,
+        render: impl Fn(&CellResult, &mut Vec<u8>) + Sync,
+        out: &mut dyn Write,
+    ) -> io::Result<()> {
+        // A simulated row is worth writing the moment it is done.
+        let chunk = if sim.is_some() {
+            1
+        } else {
+            CHUNK_BYTES - ROW_SLACK
+        };
+        let mut failed = None;
+        self.drive(
+            spec,
+            range,
+            sim,
+            || Vec::with_capacity(CHUNK_BYTES),
+            |buf: &mut Vec<u8>, r| {
+                render(&r, buf);
+                buf.len() >= chunk
+            },
+            |buf| {
+                let written = out.write_all(buf);
+                buf.clear();
+                written.map_err(|e| failed = Some(e)).is_ok()
+            },
+        );
+        failed.map_or(Ok(()), Err)
+    }
+
+    /// Runs `range`, folding each finished cell into a batch with `fill`
+    /// (which returns `true` once the batch should ship) and handing every
+    /// full batch, then the last partial one, to `ship` in cell order.
+    /// `ship` leaves the batch empty for reuse and returns `false` to stop
+    /// the sweep early.
+    fn drive<B: Send>(
+        &self,
+        spec: &SweepSpec,
+        range: Range<usize>,
+        sim: Option<SimSettings>,
+        new_batch: impl Fn() -> B + Sync,
+        fill: impl Fn(&mut B, CellResult) -> bool + Sync,
+        mut ship: impl FnMut(&mut B) -> bool,
+    ) {
         let workers = self.effective_workers(range.len());
         if workers == 1 {
-            // Inline serial path: no pool spawn, shared cache queried per
-            // cell (the per-query hit/miss counting of the serial contract).
-            for cell in spec.iter_range(range) {
-                emit(self.eval(cell, sim));
-            }
+            let cells = spec.iter_range(range).map(|cell| self.eval(cell, sim));
+            fold(cells, &mut new_batch(), &fill, &mut ship);
         } else if sim.is_none() {
-            self.run_analytic_partitioned(spec, range, workers, &mut emit);
+            self.run_partitioned(spec, range, workers, &new_batch, &fill, &mut ship);
         } else {
-            self.run_simulated_stealing(spec, range, sim, workers, &mut emit);
+            self.run_simulated_stealing(spec, range, sim, workers, |ordered| {
+                fold(ordered, &mut new_batch(), &fill, &mut ship)
+            });
         }
     }
 
     /// Threaded analytic sweep: static contiguous partition, one worker per
-    /// slice, thread-local optimum caches, per-worker result buffers.
+    /// slice, each folding its cells exactly as the serial run does.
     ///
     /// Worker `w` owns `[total·w/workers, total·(w+1)/workers)` — the same
     /// slice formula as cross-process `--shard` — so each worker is the
-    /// *single producer* for its range: its channel delivers blocks in
+    /// *single producer* for its range: its channel delivers batches in
     /// index order for free, and draining the channels in worker order
-    /// emits strictly increasing indices with no reorder buffer. Workers
-    /// ahead of the drain point simply buffer into their channels.
-    fn run_analytic_partitioned(
+    /// ships strictly increasing indices with no reorder buffer. Workers
+    /// ahead of the drain point queue their batches in their channels. When
+    /// `ship` stops the drain, the receivers drop and every worker stops at
+    /// its next send.
+    fn run_partitioned<B: Send>(
         &self,
         spec: &SweepSpec,
         range: Range<usize>,
         workers: usize,
-        emit: &mut impl FnMut(CellResult),
+        new_batch: &(impl Fn() -> B + Sync),
+        fill: &(impl Fn(&mut B, CellResult) -> bool + Sync),
+        ship: &mut impl FnMut(&mut B) -> bool,
     ) {
         let total = range.len();
         let start = range.start;
         std::thread::scope(|scope| {
             let mut rxs = Vec::with_capacity(workers);
             for w in 0..workers {
-                let (tx, rx) = mpsc::channel::<Vec<CellResult>>();
+                let (tx, rx) = mpsc::channel::<B>();
                 rxs.push(rx);
                 let lo = start + total * w / workers;
                 let hi = start + total * (w + 1) / workers;
-                scope.spawn(move || self.analytic_worker(spec, lo..hi, &tx));
+                scope.spawn(move || {
+                    let cells = spec.iter_range(lo..hi).map(|cell| self.eval(cell, None));
+                    let mut send =
+                        |batch: &mut B| tx.send(std::mem::replace(batch, new_batch())).is_ok();
+                    fold(cells, &mut new_batch(), fill, &mut send);
+                });
             }
-            let mut emitted = 0usize;
             for rx in rxs {
-                for block in rx {
-                    emitted += block.len();
-                    for r in block {
-                        emit(r);
+                for mut batch in rx {
+                    if !ship(&mut batch) {
+                        return;
                     }
                 }
             }
-            assert!(
-                emitted == total,
-                "executor lost cells: emitted {emitted} of {total}"
-            );
         });
     }
 
-    /// One analytic worker: walks its slice in [`ANALYTIC_BLOCK`]-cell
-    /// blocks, expanding each cell exactly once. The probe pass records per
-    /// cell either the memoized optimum (one hash lookup answers the query)
-    /// or a slot in the block's miss list; the Theorem-4 misses then
-    /// compute 8 lanes at a time via [`theorem4_batch`] (other theorems
-    /// are a single closed form each — scalar), and the resolve pass stitches
-    /// buffered metadata to hit values and batch outputs without touching
-    /// the map again. Cache merges and result sends happen every
-    /// [`ANALYTIC_BLOCKS_PER_FLUSH`] blocks and at the end, so shared-state
-    /// traffic is thousands of cells apart.
-    fn analytic_worker(
-        &self,
-        spec: &SweepSpec,
-        range: Range<usize>,
-        tx: &mpsc::Sender<Vec<CellResult>>,
-    ) {
-        /// Where one cell's optimum comes from at resolve time.
-        enum Slot {
-            /// Known at probe time (local hit or warm-shared adoption).
-            Ready(PatternOptimum),
-            /// `i`-th entry of the block's Theorem-4 batch.
-            T4(usize),
-            /// `i`-th entry of the block's scalar miss list.
-            Other(usize),
-        }
-        let flush_cells = ANALYTIC_BLOCK * ANALYTIC_BLOCKS_PER_FLUSH;
-        let mut local = LocalOptimumCache::new(&self.cache);
-        let mut buf: Vec<CellResult> = Vec::with_capacity(flush_cells.min(range.len()));
-        let mut block: Vec<(usize, CellName, Theorem, Slot)> = Vec::with_capacity(ANALYTIC_BLOCK);
-        let mut miss_t4_keys: Vec<OptimumKey> = Vec::new();
-        let mut miss_t4_cells: Vec<(Platform, CostModel)> = Vec::new();
-        let mut miss_other: Vec<(OptimumKey, Theorem, Platform, CostModel)> = Vec::new();
-        let mut since_flush = 0usize;
-
-        let mut lo = range.start;
-        while lo < range.end {
-            let hi = (lo + ANALYTIC_BLOCK).min(range.end);
-            block.clear();
-            miss_t4_keys.clear();
-            miss_t4_cells.clear();
-            miss_other.clear();
-            for cell in spec.iter_range(lo..hi) {
-                let key = OptimumKey::new(&cell.platform, &cell.costs, cell.theorem);
-                let slot = match local.probe(key) {
-                    Some(optimum) => Slot::Ready(optimum),
-                    // Duplicate unknown keys within one block each get
-                    // their own miss slot; the batch computes both (the
-                    // optimizers are pure, the values identical) and
-                    // insert_computed keeps the first.
-                    None => match cell.theorem {
-                        Theorem::Four => {
-                            miss_t4_keys.push(key);
-                            miss_t4_cells.push((cell.platform, cell.costs));
-                            Slot::T4(miss_t4_keys.len() - 1)
-                        }
-                        other => {
-                            miss_other.push((key, other, cell.platform, cell.costs));
-                            Slot::Other(miss_other.len() - 1)
-                        }
-                    },
-                };
-                block.push((cell.index, cell.name, cell.theorem, slot));
-            }
-            let (optima_t4, optima_other) = match &self.resolver {
-                None => (
-                    theorem4_batch(&miss_t4_cells),
-                    miss_other
-                        .iter()
-                        .map(|&(_, theorem, ref platform, ref costs)| {
-                            theorem.optimize(platform, costs)
-                        })
-                        .collect::<Vec<PatternOptimum>>(),
-                ),
-                Some(_) if miss_t4_cells.is_empty() && miss_other.is_empty() => {
-                    (Vec::new(), Vec::new())
-                }
-                Some(resolve) => {
-                    // Ship the whole block's misses as one query batch, so
-                    // the daemon's coalescing window sees them together.
-                    let mut queries: Vec<(Platform, CostModel, Theorem)> =
-                        Vec::with_capacity(miss_t4_cells.len() + miss_other.len());
-                    queries.extend(
-                        miss_t4_cells
-                            .iter()
-                            .map(|&(platform, costs)| (platform, costs, Theorem::Four)),
-                    );
-                    queries.extend(
-                        miss_other
-                            .iter()
-                            .map(|&(_, theorem, platform, costs)| (platform, costs, theorem)),
-                    );
-                    let mut resolved = resolve(&queries);
-                    assert_eq!(
-                        resolved.len(),
-                        queries.len(),
-                        "optimum resolver must answer every query"
-                    );
-                    let other = resolved.split_off(miss_t4_cells.len());
-                    (resolved, other)
-                }
-            };
-            for (&key, optimum) in miss_t4_keys.iter().zip(&optima_t4) {
-                local.insert_computed(key, optimum.clone());
-            }
-            for (&(key, ..), optimum) in miss_other.iter().zip(&optima_other) {
-                local.insert_computed(key, optimum.clone());
-            }
-            for (index, name, theorem, slot) in block.drain(..) {
-                let optimum = match slot {
-                    Slot::Ready(optimum) => optimum,
-                    Slot::T4(i) => optima_t4[i].clone(),
-                    Slot::Other(i) => optima_other[i].clone(),
-                };
-                buf.push(CellResult {
-                    index,
-                    name,
-                    theorem,
-                    optimum,
-                    report: None,
-                });
-            }
-            since_flush += hi - lo;
-            lo = hi;
-            if since_flush >= flush_cells && lo < range.end {
-                local.flush();
-                let block = std::mem::replace(
-                    &mut buf,
-                    Vec::with_capacity(flush_cells.min(range.end - lo)),
-                );
-                if tx.send(block).is_err() {
-                    return; // Receiver dropped (emit panicked): stop early.
-                }
-                since_flush = 0;
-            }
-        }
-        local.flush();
-        if !buf.is_empty() && tx.send(buf).is_err() {
-            // Receiver gone; nothing left to do either way.
-        }
-    }
-
     /// Threaded simulated sweep: per-cell work stealing off an atomic
-    /// cursor with a per-cell reorder buffer. One simulated cell costs
-    /// milliseconds, so per-cell dispatch overhead is irrelevant and
-    /// stealing keeps expensive cells from stalling cheap ones.
+    /// cursor, with a per-cell reorder buffer that hands `consume` the
+    /// results in cell order on the calling thread. One simulated cell
+    /// costs milliseconds, so per-cell dispatch overhead is irrelevant and
+    /// stealing keeps expensive cells from stalling cheap ones. `consume`
+    /// returns `false` when it stopped before the last cell.
     fn run_simulated_stealing(
         &self,
         spec: &SweepSpec,
         range: Range<usize>,
         sim: Option<SimSettings>,
         workers: usize,
-        emit: &mut impl FnMut(CellResult),
+        consume: impl FnOnce(&mut dyn Iterator<Item = CellResult>) -> bool,
     ) {
         let total = range.len();
         let start = range.start;
@@ -470,20 +412,21 @@ impl SweepExecutor {
             let mut pending: Vec<Option<CellResult>> = Vec::new();
             pending.resize_with(total, || None);
             let mut next = 0usize;
-            for (i, r) in rx {
-                pending[i] = Some(r);
-                while next < total {
-                    let Some(r) = pending[next].take() else {
-                        break;
-                    };
-                    emit(r);
+            let mut arrivals = rx.into_iter();
+            let mut ordered = std::iter::from_fn(|| loop {
+                if let Some(r) = pending.get_mut(next).and_then(Option::take) {
                     next += 1;
+                    return Some(r);
                 }
+                let (i, r) = arrivals.next()?;
+                pending[i] = Some(r);
+            });
+            if consume(&mut ordered) {
+                assert!(
+                    next == total,
+                    "executor lost cells: emitted {next} of {total}"
+                );
             }
-            assert!(
-                next == total,
-                "executor lost cells: emitted {next} of {total}"
-            );
         });
     }
 
@@ -543,6 +486,26 @@ impl SweepExecutor {
         self.cache.merge([(key, optimum.clone())], 1);
         optimum
     }
+}
+
+/// Folds `results`, which arrive in cell order, into `batch`: ships it
+/// whenever `fill` says it is full, then once more if results are left
+/// over. This is the one sweep loop every worker count runs. Returns
+/// `false` when `ship` stopped it early.
+fn fold<B>(
+    results: impl Iterator<Item = CellResult>,
+    batch: &mut B,
+    fill: &impl Fn(&mut B, CellResult) -> bool,
+    ship: &mut impl FnMut(&mut B) -> bool,
+) -> bool {
+    let mut unshipped = false;
+    for r in results {
+        unshipped = !fill(batch, r);
+        if !unshipped && !ship(batch) {
+            return false;
+        }
+    }
+    !unshipped || ship(batch)
 }
 
 #[cfg(test)]

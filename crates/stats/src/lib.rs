@@ -28,4 +28,4 @@ pub use histogram::Histogram;
 pub use online::OnlineStats;
 pub use rates::{per_day, per_hour, DAY, HOUR, YEAR};
 pub use summary::Summary;
-pub use table::{Align, TableFormat};
+pub use table::{Align, RowWriter, TableFormat};
