@@ -47,11 +47,10 @@
 //! The optimum store is a shareable artifact: `--cache-out FILE` snapshots
 //! a sweep's memoized optima (sorted, FNV-64-sealed, bit-exact keys) and
 //! `--cache-in FILE` seeds a later sweep from one — same bytes out, zero
-//! derivations for covered keys. `orchestrate` pre-warms automatically:
-//! it derives the slice's distinct optima once, snapshots them, and hands
-//! the file to every worker spawn through the fault-plan env channel.
-//! `--optimum-server ADDR` instead resolves misses live against a running
-//! `serve --port` daemon, one query per cache miss.
+//! derivations for covered keys. `orchestrate` takes no snapshot: each
+//! worker derives only its own unit's optima, exactly as `grid --shard`
+//! would. `--optimum-server ADDR` instead resolves misses live against a
+//! running `serve --port` daemon, one query per cache miss.
 //!
 //! Every sweep command expands a `SweepSpec` and shards its cells over
 //! `--threads` workers; results stream back in deterministic cell order, so
@@ -74,9 +73,8 @@
 mod rows;
 
 use resilience::{
-    grid_spec, parse_snapshot, reference_scenarios, snapshot_string, theorem4_batch,
-    validation_scenarios, CostModel, OptimumCache, OptimumKey, PatternOptimum, Platform, Scenario,
-    SweepSpec, Theorem, GRID_AXIS_LEN,
+    grid_spec, parse_snapshot, reference_scenarios, snapshot_string, validation_scenarios,
+    CostModel, OptimumCache, Platform, Scenario, SweepSpec, Theorem, GRID_AXIS_LEN,
 };
 use resilience_coord::{
     unit_range, CoordConfig, FallbackUnit, FaultInjector, FaultPlan, TrailerWriter, WorkerFault,
@@ -90,7 +88,6 @@ use sim::runner::thread_cap;
 use sim::{Backend, SimdEngine};
 use stats::rates::YEAR;
 use stats::table::{Align, TableFormat};
-use std::collections::HashSet;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -167,8 +164,7 @@ struct Args {
     /// (see `resilience-coord`'s plan grammar); empty = none.
     fault_plan: String,
     /// Sweep commands: seed the optimum cache from a snapshot file before
-    /// sweeping (the coordinator sets the same thing per worker through
-    /// [`resilience_coord::CACHE_ENV`]; the flag wins when both appear).
+    /// sweeping.
     cache_in: Option<String>,
     /// Sweep commands: write the optimum cache as a snapshot file after
     /// the sweep — the producer side of `--cache-in`.
@@ -397,7 +393,7 @@ fn parse_args() -> Args {
                      \x20                never a derivation, and output bytes are unchanged\n\
                      \x20 --cache-out FILE  sweep commands: write the optimum cache as a snapshot\n\
                      \x20                file (sorted, FNV-64-sealed, bit-exact keys) after the\n\
-                     \x20                sweep — what --cache-in and the coordinator consume\n\
+                     \x20                sweep — what --cache-in consumes\n\
                      \x20 --optimum-server ADDR  sweep commands: resolve cache misses through a\n\
                      \x20                running serve --port daemon at HOST:PORT (one query per\n\
                      \x20                miss) instead of deriving locally"
@@ -431,10 +427,6 @@ fn flag_misuse(command: &str, reps: Option<u64>, flag: &str) -> Option<String> {
         "--trailer" if !SWEEP_COMMANDS.contains(&command) => Some(format!(
             "--trailer applies to sweep commands, not {command} (orchestrate's workers \
              emit it themselves)"
-        )),
-        "--cache-in" | "--cache-out" if command == "orchestrate" => Some(format!(
-            "{flag} applies to sweep commands, not orchestrate (the coordinator derives \
-             the slice's optima once and pre-warms every worker itself)"
         )),
         "--cache-in" | "--cache-out" if !SWEEP_COMMANDS.contains(&command) => {
             Some(format!("{flag} applies to sweep commands, not {command}"))
@@ -882,13 +874,18 @@ impl ShardBench {
 }
 
 /// Measures [`ShardBench`]: each pass runs all shards serially, one fresh
-/// executor per shard (cold: empty cache; warm: seeded from the shared
-/// snapshot — seeding time is charged to the warm pass, because a real
+/// executor per shard (cold: empty cache; warm: seeded with the entries a
+/// cold full-grid sweep leaves in its cache, which is what `--cache-out`
+/// writes — seeding time is charged to the warm pass, because a real
 /// warmed shard pays it too). Misses are identical across passes; the
 /// timings take the best of [`BENCH_PASSES`].
 fn bench_warm_vs_cold() -> ShardBench {
     let spec = grid_spec(GRID_SIM_MAX);
-    let entries = derive_slice_optima(&spec, 0..spec.len());
+    let full = SweepExecutor::new(1);
+    full.run_streaming_range(&spec, 0..spec.len(), None, |r| {
+        std::hint::black_box(&r);
+    });
+    let entries = full.cache().snapshot_entries();
     let shards = 4;
     let pass = |warm: bool| -> (f64, u64) {
         let mut misses = 0;
@@ -1292,42 +1289,6 @@ fn sweep_guard_note(sweep: &SweepBench) -> String {
     )
 }
 
-/// Derives the distinct optima of one spec slice, each exactly once: keys
-/// dedupe through a set, the Theorem-4 survivors go through the 8-lane
-/// batch evaluator, the rest through their scalar closed forms. This is
-/// the coordinator's seeding pass — the whole point of pre-warming is
-/// that these derivations happen *here, once*, instead of once per
-/// worker spawn.
-fn derive_slice_optima(
-    spec: &SweepSpec,
-    range: std::ops::Range<usize>,
-) -> Vec<(OptimumKey, PatternOptimum)> {
-    let mut seen = HashSet::new();
-    let mut t4_keys = Vec::new();
-    let mut t4_cells = Vec::new();
-    let mut other = Vec::new();
-    for cell in spec.iter_range(range) {
-        let key = OptimumKey::new(&cell.platform, &cell.costs, cell.theorem);
-        if !seen.insert(key) {
-            continue;
-        }
-        if cell.theorem == Theorem::Four {
-            t4_keys.push(key);
-            t4_cells.push((cell.platform, cell.costs));
-        } else {
-            other.push((key, cell.platform, cell.costs, cell.theorem));
-        }
-    }
-    let mut entries: Vec<(OptimumKey, PatternOptimum)> =
-        t4_keys.into_iter().zip(theorem4_batch(&t4_cells)).collect();
-    entries.extend(
-        other
-            .into_iter()
-            .map(|(key, platform, costs, theorem)| (key, theorem.optimize(&platform, &costs))),
-    );
-    entries
-}
-
 /// `orchestrate`: the fault-tolerant sweep coordinator. Partitions the
 /// grid slice into sub-shard work units, dispatches each as a supervised
 /// `grid --shard J/M --trailer` worker subprocess of this same binary, and
@@ -1337,43 +1298,22 @@ fn derive_slice_optima(
 /// caught by trailer verification and re-executed, and a unit that
 /// exhausts `--max-respawns` renders in-process instead.
 ///
-/// Before dispatching, the coordinator derives the slice's distinct
-/// optima once ([`derive_slice_optima`]), snapshots them to a temp file,
-/// and hands the path to every worker spawn and respawn through
-/// [`resilience_coord::CACHE_ENV`] — so the slice's global miss total is
-/// the distinct-optima count, not distinct × units. The counters land on
-/// stderr: one line-delimited JSON `summary` event (what the chaos tests
-/// assert on), then a human-readable recap.
+/// Workers start cold and derive only their own unit's optima, so each
+/// unit's cache hits and misses are exactly those of the equivalent
+/// `grid --shard J/M --threads 1` run, and the merged totals are their sum
+/// over the units. The counters land on stderr: one line-delimited JSON
+/// `summary` event (what the chaos tests assert on), then a human-readable
+/// recap.
 fn run_orchestrate(args: &Args) {
     let plan = FaultPlan::parse(&args.fault_plan).unwrap_or_else(|e| die(&e));
     let program = std::env::current_exe()
         .unwrap_or_else(|e| die(&format!("orchestrate: cannot locate own binary: {e}")));
     let spec = grid_spec(args.grid_size);
-    let (slice_i, slice_n) = args.shard.unwrap_or((0, 1));
-
-    // Seeding pass: every derivation the slice will ever need, paid once.
-    let entries = derive_slice_optima(&spec, unit_range(spec.len(), slice_i, slice_n));
-    let seeded = entries.len() as u64;
-    let warm = Arc::new(OptimumCache::new());
-    warm.seed(entries);
-    let snapshot_path =
-        std::env::temp_dir().join(format!("resilience-optima-{}.snapshot", std::process::id()));
-    if let Err(e) = std::fs::write(&snapshot_path, snapshot_string(&warm)) {
-        die(&format!(
-            "orchestrate: cannot write warm-cache snapshot {}: {e}",
-            snapshot_path.display()
-        ));
-    }
-    eprintln!(
-        "orchestrate: pre-warmed {seeded} distinct optima into {}",
-        snapshot_path.display()
-    );
-
     let cfg = CoordConfig {
         program,
         grid_size: args.grid_size,
         cells: spec.len(),
-        slice: (slice_i, slice_n),
+        slice: args.shard.unwrap_or((0, 1)),
         units: args.units.unwrap_or(args.workers * 4).max(1),
         workers: args.workers,
         seed: args.seed,
@@ -1381,30 +1321,25 @@ fn run_orchestrate(args: &Args) {
         backoff_base: Duration::from_millis(args.backoff_ms),
         max_respawns: args.max_respawns,
         plan,
-        cache_snapshot: Some(snapshot_path.clone()),
-        seeded_optima: seeded,
     };
     // The in-process degradation path renders through the exact table
-    // pipeline the workers use — and shares the warm cache, so fallback
-    // units merge byte-identically and report pure hits.
-    let executor = SweepExecutor::with_cache(1, Arc::clone(&warm));
+    // pipeline the workers use, on a fresh single-thread executor per
+    // unit, so a fallback unit merges byte-identically and reports the
+    // cache totals its `grid --shard` worker would have.
     let mut fallback = |range: std::ops::Range<usize>, with_header: bool| {
-        let before = executor.cache().stats();
-        let mut buf = Vec::new();
-        render_table(&executor, &spec, range, None, 20, with_header, &mut buf)?;
-        let after = executor.cache().stats();
+        let executor = SweepExecutor::new(1);
+        let mut bytes = Vec::new();
+        render_table(&executor, &spec, range, None, 20, with_header, &mut bytes)?;
+        let cache = executor.cache().stats();
         Ok(FallbackUnit {
-            bytes: buf,
-            cache_hits: after.hits - before.hits,
-            cache_misses: after.misses - before.misses,
+            bytes,
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
         })
     };
     let stdout = std::io::stdout();
     let mut w = std::io::BufWriter::with_capacity(1 << 16, stdout.lock());
-    let outcome = resilience_coord::run(&cfg, &mut w, &mut fallback);
-    // Best-effort: the snapshot is per-pid scratch, gone with the run.
-    let _ = std::fs::remove_file(&snapshot_path);
-    let report = match outcome {
+    let report = match resilience_coord::run(&cfg, &mut w, &mut fallback) {
         Ok(report) => report,
         // `orchestrate | head`: a closed merge pipe is a quiet exit, like
         // every other table command.
@@ -1416,7 +1351,7 @@ fn run_orchestrate(args: &Args) {
         "orchestrate: merged {} unit(s) / {} bytes via {} worker spawn(s): \
          {} fail-stop retries, {} verify failures, {} straggler reassignments, \
          {} duplicates discarded, {} in-process fallbacks; optimum cache: \
-         {} hits, {} misses ({seeded} seeded)",
+         {} hits, {} misses",
         report.units,
         report.merged_bytes,
         report.workers_spawned,
@@ -1519,15 +1454,9 @@ fn main() {
         }
         None => SweepExecutor::new(worker_threads),
     };
-    // Warm start: an explicit snapshot wins; otherwise the coordinator's
-    // per-spawn env channel. Seeding is silent in the output — covered
-    // keys just stop costing derivations (and count as hits).
-    let warm_source = args.cache_in.clone().or_else(|| {
-        std::env::var(resilience_coord::CACHE_ENV)
-            .ok()
-            .filter(|path| !path.is_empty())
-    });
-    if let Some(path) = &warm_source {
+    // Warm start from a snapshot. Seeding is silent in the output —
+    // covered keys just stop costing derivations (and count as hits).
+    if let Some(path) = &args.cache_in {
         let doc = std::fs::read_to_string(path)
             .unwrap_or_else(|e| die(&format!("cannot read cache snapshot {path}: {e}")));
         let entries = parse_snapshot(&doc).unwrap_or_else(|e| die(&format!("{path}: {e}")));

@@ -1,7 +1,6 @@
 //! End-to-end tests for the shared optimum store: a sweep that snapshots
-//! its cache (`--cache-out`) must warm a later sweep (`--cache-in`, or the
-//! coordinator's env channel) to byte-identical output with *zero* misses
-//! on covered keys, and the live-share mode (`--optimum-server`) must
+//! its cache (`--cache-out`) must warm a later sweep (`--cache-in`) to
+//! byte-identical output with *zero* misses on covered keys, and the live-share mode (`--optimum-server`) must
 //! resolve misses through a running daemon to the same bytes.
 //!
 //! Gated off Miri: these tests spawn real subprocesses.
@@ -14,24 +13,17 @@ use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 
-/// Runs the CLI with `args` (plus optional extra env), scrubbing inherited
-/// fault/cache env, and returns `(stdout bytes, stderr text)`.
-fn run_env(args: &[&str], env: &[(&str, &str)]) -> (Vec<u8>, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_resilience-cli"));
-    cmd.args(args)
+/// Runs the CLI with `args`, scrubbing inherited fault env, and returns
+/// `(stdout bytes, stderr text)`.
+fn run(args: &[&str]) -> (Vec<u8>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_resilience-cli"))
+        .args(args)
         .env_remove(resilience_coord::FAULT_ENV)
-        .env_remove(resilience_coord::CACHE_ENV);
-    for (key, value) in env {
-        cmd.env(key, value);
-    }
-    let out = cmd.output().expect("binary runs");
+        .output()
+        .expect("binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(out.status.success(), "{args:?} failed:\n{stderr}");
     (out.stdout, stderr)
-}
-
-fn run(args: &[&str]) -> (Vec<u8>, String) {
-    run_env(args, &[])
 }
 
 /// The `(hits, misses)` of the sweep's `optimum cache:` stderr recap.
@@ -114,31 +106,6 @@ fn warmed_shards_are_byte_identical_with_zero_misses() {
         merged.extend(bytes);
     }
     assert_eq!(merged, golden, "warm shard concatenation differs");
-}
-
-#[test]
-fn coordinator_env_channel_warms_exactly_like_the_flag() {
-    let snap = Scratch::new("warm-env");
-    let (golden, _) = run(&[
-        "grid",
-        "--grid-size",
-        "6",
-        "--threads",
-        "1",
-        "--cache-out",
-        snap.as_str(),
-    ]);
-    let (warm, stderr) = run_env(
-        &["grid", "--grid-size", "6", "--threads", "1"],
-        &[(resilience_coord::CACHE_ENV, snap.as_str())],
-    );
-    assert_eq!(warm, golden);
-    let (hits, misses) = cache_stats(&stderr);
-    assert_eq!((hits + misses, misses), (216, 0), "{stderr}");
-    assert!(
-        stderr.contains("warmed with"),
-        "no warm-up note on stderr:\n{stderr}"
-    );
 }
 
 #[test]

@@ -96,18 +96,7 @@ fn trailer_applies_to_sweep_commands_only() {
 
 #[test]
 fn cache_snapshot_flags_are_rejected_outside_sweep_commands() {
-    // On orchestrate specifically, the rejection explains that the
-    // coordinator pre-warms its workers itself — handing it a snapshot is
-    // a misunderstanding worth correcting, not a silent no-op.
-    assert_dies(
-        &["orchestrate", "--cache-in", "warm.snap"],
-        &["--cache-in", "pre-warms"],
-    );
-    assert_dies(
-        &["orchestrate", "--cache-out", "warm.snap"],
-        &["--cache-out", "pre-warms"],
-    );
-    for command in ["bench", "serve"] {
+    for command in ["bench", "serve", "orchestrate"] {
         assert_dies(
             &[command, "--cache-in", "warm.snap"],
             &["--cache-in", "sweep commands", command],

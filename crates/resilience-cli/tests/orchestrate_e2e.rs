@@ -3,7 +3,8 @@
 //! faults, under every injected fault class from the paper's failure model
 //! (fail-stop kill, straggler stall, silent corruption), and through the
 //! in-process degradation path — while its summary counters account for
-//! exactly the faults injected.
+//! exactly the faults injected, and its cache totals equal the sum of the
+//! standalone `grid --shard` runs its cold workers are.
 //!
 //! Gated off Miri: these tests spawn real subprocesses.
 
@@ -15,13 +16,12 @@ use serde::Deserialize;
 use stats::Fnv64;
 use std::process::Command;
 
-/// Runs the CLI with `args`, scrubbing any inherited fault and warm-cache
-/// env, and returns `(stdout bytes, stderr text)`. Panics on nonzero exit.
+/// Runs the CLI with `args`, scrubbing any inherited fault env, and
+/// returns `(stdout bytes, stderr text)`. Panics on nonzero exit.
 fn run(args: &[&str]) -> (Vec<u8>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_resilience-cli"))
         .args(args)
         .env_remove(resilience_coord::FAULT_ENV)
-        .env_remove(resilience_coord::CACHE_ENV)
         .output()
         .expect("binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
@@ -38,11 +38,9 @@ fn summary_of(stderr: &str) -> CoordReport {
         .unwrap_or_else(|| panic!("no summary event on stderr:\n{stderr}"))
 }
 
-/// The miss count of a serial run's `optimum cache: H hits, M misses, ...`
-/// stderr recap — the slice's distinct-optima count, which is exactly
-/// what a pre-warmed orchestration must report as its global total (the
-/// seeding pass pays each distinct derivation once; the workers then hit).
-fn serial_misses(stderr: &str) -> u64 {
+/// The miss count of a sweep's `optimum cache: H hits, M misses, ...`
+/// stderr recap — the run's distinct-optima count.
+fn recap_misses(stderr: &str) -> u64 {
     stderr
         .lines()
         .find_map(|line| {
@@ -53,9 +51,42 @@ fn serial_misses(stderr: &str) -> u64 {
         .unwrap_or_else(|| panic!("no optimum-cache recap on stderr:\n{stderr}"))
 }
 
+/// The misses a cold orchestration of `grid --grid-size K` over `units`
+/// units must report: the sum of the recaps of the standalone
+/// `grid --shard J/units --threads 1` runs that are its workers, since each
+/// worker starts with an empty cache and derives only its own unit's keys.
+fn per_unit_misses(grid_size: &str, units: usize) -> u64 {
+    (0..units)
+        .map(|j| {
+            let shard = format!("{j}/{units}");
+            let args = [
+                "grid",
+                "--grid-size",
+                grid_size,
+                "--shard",
+                &shard,
+                "--threads",
+                "1",
+            ];
+            recap_misses(&run(&args).1)
+        })
+        .sum()
+}
+
+/// Every cell is one hit or one miss in exactly one merged unit, and the
+/// misses are the per-unit sum, however the run was scheduled.
+fn assert_cache_totals(report: &CoordReport, cells: u64, grid_size: &str, units: usize) {
+    assert_eq!(report.cache_hits + report.cache_misses, cells, "{report:?}");
+    assert_eq!(
+        report.cache_misses,
+        per_unit_misses(grid_size, units),
+        "{report:?}"
+    );
+}
+
 #[test]
 fn fault_free_orchestration_is_byte_identical_with_zero_fault_counters() {
-    let (golden, golden_stderr) = run(&["grid", "--grid-size", "4"]);
+    let (golden, _) = run(&["grid", "--grid-size", "4"]);
     let (merged, stderr) = run(&[
         "orchestrate",
         "--grid-size",
@@ -75,37 +106,28 @@ fn fault_free_orchestration_is_byte_identical_with_zero_fault_counters() {
     assert_eq!(report.duplicates_discarded, 0, "{report:?}");
     assert_eq!(report.inproc_fallbacks, 0, "{report:?}");
     assert_eq!(report.merged_bytes, golden.len() as u64, "{report:?}");
-    // Pre-warm accounting: every cell is a hit in some worker, and the
-    // global miss total is the seeding pass's distinct-optima count —
-    // what the serial run reports as its misses — not distinct × units.
-    assert_eq!(report.cache_hits, 64, "{report:?}");
-    assert_eq!(
-        report.cache_misses,
-        serial_misses(&golden_stderr),
-        "{report:?}"
-    );
+    assert_cache_totals(&report, 64, "4", 5);
 }
 
 #[test]
-fn prewarmed_orchestration_reports_schedule_independent_cache_totals() {
-    // The acceptance grid: 10³ cells split across 4 workers. The 10-point
-    // node/MTBF/recall axes share platform-cost combinations, so the grid
-    // holds exactly 190 distinct (platform, costs, theorem) keys; a cold
-    // serial sweep misses each once, and a pre-warmed orchestration must
-    // miss *globally* exactly that often — the whole point of seeding.
+fn cold_orchestration_reports_per_unit_cache_totals() {
+    // The acceptance grid: 10³ cells over 4 workers and the default 16
+    // units. The grid holds 190 distinct (platform, costs, theorem) keys,
+    // which a serial sweep misses once each; but every cold worker derives
+    // its own unit's keys, so the orchestrated total is the per-unit sum.
     let (golden, golden_stderr) = run(&["grid", "--grid-size", "10"]);
-    assert_eq!(serial_misses(&golden_stderr), 190);
+    assert_eq!(recap_misses(&golden_stderr), 190);
     let (merged, stderr) = run(&["orchestrate", "--grid-size", "10", "--workers", "4"]);
     assert_eq!(merged, golden, "merged bytes differ from the serial run");
     let report = summary_of(&stderr);
-    assert_eq!(report.cache_hits, 1000, "{report:?}");
-    assert_eq!(report.cache_misses, 190, "{report:?}");
+    assert_eq!(report.units, 16, "{report:?}");
     assert_eq!(report.inproc_fallbacks, 0, "{report:?}");
+    assert_cache_totals(&report, 1000, "10", 16);
 }
 
 #[test]
 fn orchestration_survives_kill_stall_and_corruption_byte_identically() {
-    let (golden, golden_stderr) = run(&["grid", "--grid-size", "5"]);
+    let (golden, _) = run(&["grid", "--grid-size", "5"]);
     // One fault per class, each on its own unit: a fail-stop kill mid-unit,
     // a stall long past the deadline (straggler → speculative twin), and a
     // silent single-byte corruption (caught by trailer re-verification).
@@ -135,18 +157,13 @@ fn orchestration_survives_kill_stall_and_corruption_byte_identically() {
     assert_eq!(report.merged_bytes, golden.len() as u64, "{report:?}");
     // Counters merge from *winning* attempts only, so the totals are
     // schedule-independent even with retries, twins, and re-executions in
-    // flight: 5³ cells hit, distinct optima missed (once, in the seeder).
-    assert_eq!(report.cache_hits, 125, "{report:?}");
-    assert_eq!(
-        report.cache_misses,
-        serial_misses(&golden_stderr),
-        "{report:?}"
-    );
+    // flight.
+    assert_cache_totals(&report, 125, "5", 8);
 }
 
 #[test]
 fn repeated_kills_degrade_to_in_process_execution_and_still_merge_clean() {
-    let (golden, golden_stderr) = run(&["grid", "--grid-size", "3"]);
+    let (golden, _) = run(&["grid", "--grid-size", "3"]);
     // `kill!` re-arms on every spawn, so unit 0 dies on the initial attempt
     // and again on the retry; retries(2) > max_respawns(1) abandons process
     // isolation and recomputes the unit in the coordinator itself.
@@ -171,14 +188,37 @@ fn repeated_kills_degrade_to_in_process_execution_and_still_merge_clean() {
     assert_eq!(report.inproc_fallbacks, 1, "{report:?}");
     assert_eq!(report.verify_failures, 0, "{report:?}");
     assert_eq!(report.merged_bytes, golden.len() as u64, "{report:?}");
-    // The in-process fallback shares the coordinator's warm cache, so its
-    // unit reports pure hits and the totals stay schedule-independent.
-    assert_eq!(report.cache_hits, 27, "{report:?}");
-    assert_eq!(
-        report.cache_misses,
-        serial_misses(&golden_stderr),
-        "{report:?}"
-    );
+    // The fallback unit reports what its `grid --shard` worker would have.
+    assert_cache_totals(&report, 27, "3", 2);
+}
+
+#[test]
+fn two_fallback_units_each_report_their_own_shard_totals() {
+    let (golden, _) = run(&["grid", "--grid-size", "4"]);
+    // Units 0 and 2 die on every spawn, so both degrade in-process. They
+    // share optimum keys, so if the fallbacks shared one cache, whichever
+    // ran second would report hits its worker never had.
+    let (merged, stderr) = run(&[
+        "orchestrate",
+        "--grid-size",
+        "4",
+        "--workers",
+        "2",
+        "--units",
+        "4",
+        "--max-respawns",
+        "1",
+        "--backoff-ms",
+        "5",
+        "--fault-plan",
+        "kill!:0:2;kill!:2:3",
+    ]);
+    assert_eq!(merged, golden, "merged bytes differ from the serial run");
+    let report = summary_of(&stderr);
+    assert_eq!(report.fail_stop_retries, 4, "{report:?}");
+    assert_eq!(report.inproc_fallbacks, 2, "{report:?}");
+    assert_eq!(report.merged_bytes, golden.len() as u64, "{report:?}");
+    assert_cache_totals(&report, 64, "4", 4);
 }
 
 #[test]
@@ -200,5 +240,5 @@ fn standalone_trailer_matches_a_recomputed_digest_of_stdout() {
     // The trailer's cache economics agree with the stderr recap: a cold
     // shard accounts every cell as exactly one hit or one miss.
     assert_eq!(trailer.cache_hits + trailer.cache_misses, 27, "{trailer:?}");
-    assert_eq!(trailer.cache_misses, serial_misses(&stderr), "{trailer:?}");
+    assert_eq!(trailer.cache_misses, recap_misses(&stderr), "{trailer:?}");
 }

@@ -1,14 +1,17 @@
 //! End-to-end tests for `resilience-cli serve`: the daemon's response
 //! bytes must equal the same answers rendered from direct library calls,
-//! on both transports (stdin/stdout pipe and TCP), and a `shutdown` query
-//! must ack, close the stream, and exit the process cleanly.
+//! on both transports (stdin/stdout pipe and TCP), a `shutdown` query
+//! must ack, close the stream, and exit the process cleanly, and an
+//! over-long request line must cost only its own connection.
 
 use resilience::{grid_spec, reference_scenarios, Theorem};
 use resilience_service::protocol::{Query, Reply, Request, Response};
+use resilience_service::server::MAX_REQUEST_LINE;
 use serde::Serialize;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
+use std::time::Duration;
 
 /// Deterministic mixed workload with library-computed expected responses.
 fn workload() -> Vec<(String, String)> {
@@ -113,6 +116,18 @@ fn spawn_serve(extra: &[&str]) -> Child {
         .expect("daemon spawns")
 }
 
+/// Port 0 is ephemeral; the daemon announces the bound address on stderr.
+fn announced_addr(child: &mut Child) -> String {
+    let mut stderr = BufReader::new(child.stderr.take().expect("stderr"));
+    let mut announce = String::new();
+    stderr.read_line(&mut announce).expect("read announcement");
+    announce
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected announcement: {announce:?}"))
+        .to_owned()
+}
+
 #[test]
 fn pipe_mode_answers_are_byte_identical_to_the_library() {
     let mut child = spawn_serve(&[]);
@@ -146,16 +161,7 @@ fn pipe_mode_answers_are_byte_identical_to_the_library() {
 #[test]
 fn tcp_mode_announces_its_port_and_answers_byte_identically() {
     let mut child = spawn_serve(&["--port", "0"]);
-
-    // Port 0 is ephemeral; the daemon announces the bound address on stderr.
-    let mut stderr = BufReader::new(child.stderr.take().expect("stderr"));
-    let mut announce = String::new();
-    stderr.read_line(&mut announce).expect("read announcement");
-    let addr = announce
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected announcement: {announce:?}"))
-        .to_owned();
+    let addr = announced_addr(&mut child);
 
     let mut stream = TcpStream::connect(&addr).expect("connect");
     let lines = workload();
@@ -193,4 +199,60 @@ fn tcp_mode_announces_its_port_and_answers_byte_identically() {
         TcpStream::connect(&addr).is_err(),
         "{addr} still accepting after shutdown"
     );
+}
+
+#[test]
+fn an_overlong_line_is_refused_and_closes_only_its_connection() {
+    let mut child = spawn_serve(&["--port", "0"]);
+    let addr = announced_addr(&mut child);
+
+    // The flooding client sends 1 MiB with no newline from its own thread;
+    // its writes fail once the daemon drops the connection.
+    let flood = TcpStream::connect(&addr).expect("connect flood");
+    flood
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut flood_tx = flood.try_clone().expect("clone flood");
+    let flooder = std::thread::spawn(move || {
+        let _ = flood_tx.write_all(&vec![b'x'; 1 << 20]);
+    });
+
+    // Meanwhile a second client keeps getting correct answers.
+    let mut healthy = TcpStream::connect(&addr).expect("connect healthy");
+    let mut answers = BufReader::new(healthy.try_clone().expect("clone healthy"));
+    for (request, expected) in workload() {
+        healthy
+            .write_all(format!("{request}\n").as_bytes())
+            .expect("write request");
+        let mut line = String::new();
+        answers.read_line(&mut line).expect("read response");
+        assert_eq!(line.trim_end(), expected, "for request {request}");
+    }
+
+    let mut flood_rx = BufReader::new(flood);
+    let mut reply = String::new();
+    flood_rx.read_line(&mut reply).expect("read refusal");
+    let refusal = Response {
+        id: 0,
+        outcome: Err(format!(
+            "invalid request: line exceeds {MAX_REQUEST_LINE} bytes; closing connection"
+        )),
+    };
+    assert_eq!(reply.trim_end(), refusal.to_json_string());
+    // Closed: end of stream (or a reset, since the flood went unread).
+    let mut rest = Vec::new();
+    if let Ok(n) = flood_rx.read_to_end(&mut rest) {
+        assert_eq!(n, 0, "bytes after the refusal: {rest:?}");
+    }
+    flooder.join().expect("flooder thread");
+
+    let (bye_request, bye_expected) = shutdown_line(7);
+    healthy
+        .write_all(format!("{bye_request}\n").as_bytes())
+        .expect("write shutdown");
+    let mut line = String::new();
+    answers.read_line(&mut line).expect("read shutdown ack");
+    assert_eq!(line.trim_end(), bye_expected);
+    let status = child.wait().expect("daemon exits");
+    assert!(status.success(), "daemon exit status: {status}");
 }

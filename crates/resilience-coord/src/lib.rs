@@ -23,7 +23,11 @@
 //!   **straggler** and gets a speculative duplicate — first verified result
 //!   wins, duplicates are discarded;
 //! * a unit that exhausts `max_respawns` degrades gracefully to in-process
-//!   execution, so the merged table is still produced.
+//!   execution, so the merged table is still produced;
+//! * workers start with an empty optimum cache and derive only their own
+//!   unit's optima; the trailer's hit/miss counters of each unit's winning
+//!   attempt are summed, so [`CoordReport`]'s cache totals equal those of
+//!   the standalone `--shard` runs, whatever the schedule.
 //!
 //! The merged stdout is byte-identical to the serial unsharded run: units
 //! are global shard slices of the same deterministic cell index range the
@@ -57,15 +61,6 @@ pub use worker::{FaultInjector, TrailerWriter};
 /// milliseconds before writing line L), `corrupt:L` (flip one bit in
 /// line L after the checksum trailer accounted the clean bytes).
 pub const FAULT_ENV: &str = "RESILIENCE_FAULT";
-
-/// Environment variable carrying the path of a warm optimum-store snapshot,
-/// set by the coordinator on every worker spawn and respawn (the same
-/// per-spawn env channel as [`FAULT_ENV`]). A worker treats it exactly like
-/// `--cache-in PATH`: it seeds its executor cache from the snapshot before
-/// sweeping, so covered keys cost a hash lookup instead of a derivation and
-/// the orchestrated slice's global misses collapse to the distinct-optima
-/// count instead of distinct×units.
-pub const CACHE_ENV: &str = "RESILIENCE_CACHE_IN";
 
 /// The boundaries of global work unit `unit` of `total` over a `len`-cell
 /// sweep: the same near-equal contiguous slicing as the CLI's `--shard I/N`,

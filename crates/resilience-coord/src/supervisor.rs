@@ -29,7 +29,7 @@
 
 use crate::backoff::retry_delay;
 use crate::plan::FaultPlan;
-use crate::{unit_range, CACHE_ENV, FAULT_ENV};
+use crate::{unit_range, FAULT_ENV};
 use resilience_service::protocol::{ShardTrailer, WorkerEvent};
 use serde::{Deserialize, JsonError, Serialize, Value};
 use stats::Fnv64;
@@ -72,13 +72,6 @@ pub struct CoordConfig {
     pub max_respawns: u32,
     /// Injected faults (empty in production).
     pub plan: FaultPlan,
-    /// Warm optimum-store snapshot handed to every worker spawn and
-    /// respawn via [`CACHE_ENV`]; `None` runs workers cold.
-    pub cache_snapshot: Option<PathBuf>,
-    /// Distinct optima the coordinator derived while writing
-    /// `cache_snapshot` — counted once into the merged miss total, since
-    /// the seeding pass is the one place those derivations now happen.
-    pub seeded_optima: u64,
 }
 
 /// What happened during one orchestrated run, in the paper's vocabulary:
@@ -109,8 +102,8 @@ pub struct CoordReport {
     /// fallback units), so the total is schedule-independent: retried and
     /// discarded-duplicate attempts never count.
     pub cache_hits: u64,
-    /// Optimum-cache misses, same accounting — with pre-warm this is the
-    /// seeding pass's distinct-optima count and nothing else.
+    /// Optimum-cache misses, same accounting. Workers start cold, so this
+    /// is the sum over units of each unit's own distinct-optima count.
     pub cache_misses: u64,
 }
 
@@ -159,7 +152,7 @@ impl Deserialize for CoordReport {
 }
 
 /// One in-process fallback unit's product: the rendered bytes plus the
-/// cache hit/miss delta its rendering contributed, so fallback units keep
+/// cache hits and misses its rendering performed, so fallback units keep
 /// the merged cache totals exact.
 #[derive(Debug, Clone, Default)]
 pub struct FallbackUnit {
@@ -262,9 +255,6 @@ pub fn run(
     let start = Instant::now();
     let mut report = CoordReport {
         units: cfg.units as u64,
-        // The seeding pass's derivations are the run's baseline misses;
-        // pre-warmed workers contribute hits only.
-        cache_misses: cfg.seeded_optima,
         ..CoordReport::default()
     };
     let mut units: Vec<Unit> = (0..cfg.units)
@@ -484,12 +474,6 @@ fn spawn_attempt(
         Some(env) => cmd.env(FAULT_ENV, env),
         None => cmd.env_remove(FAULT_ENV),
     };
-    // Pre-warm every spawn and respawn alike: a retried worker still
-    // starts from the shared store, never cold.
-    match &cfg.cache_snapshot {
-        Some(path) => cmd.env(CACHE_ENV, path),
-        None => cmd.env_remove(CACHE_ENV),
-    };
     unit.spawns += 1;
     unit.state = UnitState::Running;
     unit.last_progress = Instant::now();
@@ -638,8 +622,6 @@ mod tests {
             backoff_base: Duration::from_millis(1),
             max_respawns: 0,
             plan: FaultPlan::default(),
-            cache_snapshot: None,
-            seeded_optima: 7,
         };
         let mut out = Vec::new();
         let mut calls = Vec::new();
@@ -647,8 +629,8 @@ mod tests {
             calls.push((range.clone(), with_header));
             Ok(FallbackUnit {
                 bytes: format!("unit {:?} header={with_header}\n", range).into_bytes(),
-                cache_hits: range.len() as u64,
-                cache_misses: 0,
+                cache_hits: range.len() as u64 - 1,
+                cache_misses: 1,
             })
         })
         .expect("merge writer is a Vec");
@@ -657,9 +639,9 @@ mod tests {
         assert_eq!(report.units, 3);
         assert_eq!(report.verify_failures, 0);
         assert_eq!(report.straggler_reassignments, 0);
-        // Seeded derivations plus each fallback's delta, merged exactly once.
-        assert_eq!(report.cache_misses, 7);
-        assert_eq!(report.cache_hits, 9);
+        // Each fallback unit's counters, merged exactly once.
+        assert_eq!(report.cache_misses, 3);
+        assert_eq!(report.cache_hits, 6);
         // Units tile 0..9 and only the first carries the header.
         assert_eq!(calls, vec![(0..3, true), (3..6, false), (6..9, false)]);
         let text = String::from_utf8(out).expect("utf8");

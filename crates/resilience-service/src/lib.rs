@@ -9,7 +9,7 @@
 //!   8-lane Theorem-4 evaluator, under an adaptive window that grows when
 //!   batches saturate and decays back to its minimum when traffic stops;
 //! * [`server`] — stdin/stdout pipe and TCP transports with per-connection
-//!   in-order responses and clean shutdown;
+//!   in-order responses, bounded request lines, and clean shutdown;
 //! * [`client`] — a blocking, pipelining TCP client: the worker side of
 //!   the `--optimum-server` live-share mode, plus snapshot fetch.
 //!

@@ -75,7 +75,7 @@ pub enum Query {
     },
     /// The daemon's entire optimum cache as a serialized snapshot document
     /// ([`resilience::snapshot`]): sorted, versioned, digest-sealed — ready
-    /// to write to a file and hand to `--cache-in` or a pre-warm pass.
+    /// to write to a file and hand to `--cache-in`.
     OptimumSnapshot,
     /// Service counters: batching behaviour and cache effectiveness.
     Stats,
@@ -158,10 +158,10 @@ pub struct ShardTrailer {
     /// FNV-1a 64 digest of the stdout bytes ([`stats::Fnv64`]).
     pub fnv64: u64,
     /// Optimum-cache hits this worker's sweep recorded — queries answered
-    /// without a derivation (pre-warmed keys included).
+    /// without a derivation (`--cache-in` keys included).
     pub cache_hits: u64,
     /// Optimum-cache misses: distinct optima this worker derived itself.
-    /// A worker pre-warmed over its whole range reports 0.
+    /// A worker seeded with `--cache-in` over its whole range reports 0.
     pub cache_misses: u64,
 }
 

@@ -8,6 +8,10 @@
 //! resolved them in, so clients can match answers positionally as well as
 //! by id.
 //!
+//! Request lines are bounded: a line longer than [`MAX_REQUEST_LINE`]
+//! bytes gets one `invalid request` reply and closes its connection, so a
+//! client that never sends a newline cannot grow the daemon's memory.
+//!
 //! A `shutdown` query is acknowledged by the connection itself (it never
 //! enters the batch queue): the writer emits the ack, then trips the
 //! server's shutdown trigger. The TCP accept loop wakes, stops accepting,
@@ -17,11 +21,14 @@
 use crate::batcher::Batcher;
 use crate::protocol::{Query, Reply, Request, Response};
 use serde::{Deserialize, Serialize, Value};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
+
+/// Longest request line the reader accepts, in bytes (newline excluded).
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// One response the writer owes the client, in request order.
 struct PendingResponse {
@@ -110,16 +117,38 @@ where
 }
 
 /// Reader half: parse each line, submit, and queue the response slot. Stops
-/// at EOF, on a broken channel (writer ended first), or after `shutdown`.
-fn read_requests<R: BufRead>(reader: R, batcher: &Batcher, tx: mpsc::Sender<PendingResponse>) {
-    for line in reader.lines() {
-        let Ok(line) = line else {
+/// at EOF, on a broken channel (writer ended first), after `shutdown`, or
+/// after replying to a line longer than [`MAX_REQUEST_LINE`]. Each line is
+/// read into one reused buffer, never more than one byte past the limit.
+fn read_requests<R: BufRead>(mut reader: R, batcher: &Batcher, tx: mpsc::Sender<PendingResponse>) {
+    let limit = MAX_REQUEST_LINE as u64 + 1;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+        let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+        if line.len() > MAX_REQUEST_LINE {
+            let _ = tx.send(PendingResponse {
+                id: 0,
+                from_worker: None,
+                immediate: Some(Err(format!(
+                    "invalid request: line exceeds {MAX_REQUEST_LINE} bytes; closing connection"
+                ))),
+                shutdown_after: false,
+            });
+            return;
+        }
+        // A trailing `\r` is JSON whitespace, so CRLF lines parse as-is.
+        let Ok(line) = std::str::from_utf8(line) else {
             return;
         };
         if line.trim().is_empty() {
             continue;
         }
-        let pending = match Request::from_json_str(&line) {
+        let pending = match Request::from_json_str(line) {
             Ok(Request {
                 id,
                 query: Query::Shutdown,
@@ -137,7 +166,7 @@ fn read_requests<R: BufRead>(reader: R, batcher: &Batcher, tx: mpsc::Sender<Pend
             },
             Err(err) => PendingResponse {
                 // Best effort to echo the id even when the query is bad.
-                id: salvage_id(&line),
+                id: salvage_id(line),
                 from_worker: None,
                 immediate: Some(Err(format!("invalid request: {err}"))),
                 shutdown_after: false,

@@ -299,8 +299,8 @@ impl OptimumCache {
     }
 
     /// Inserts entries without touching the hit/miss counters — the warm
-    /// seeding path (loading a snapshot, pre-warming workers). Keys already
-    /// present keep their stored value; pre-warming is not a query, so a
+    /// seeding path (`--cache-in` loading a snapshot). Keys already
+    /// present keep their stored value; seeding is not a query, so a
     /// seeded cache still reports the exact per-run hit/miss totals.
     pub fn seed(&self, entries: impl IntoIterator<Item = (OptimumKey, PatternOptimum)>) {
         for (key, value) in entries {

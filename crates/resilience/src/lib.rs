@@ -10,7 +10,9 @@
 //!   through the `βᵀAβ` quadratic form of Proposition 3;
 //! * [`optimal`] — closed-form optima for Theorems 1–4 (plus the Young/Daly
 //!   baseline), Eq. (18) chunk sizes, convex integer rounding, and the
-//!   8-lane [`optimal::theorem4_batch`] front-end for sweep hot paths;
+//!   8-lane [`optimal::theorem4_batch`] front-end, called only by the
+//!   benchmark's coordinator layer (`perfbench`) and its bit-identity
+//!   tests (`tests/overhead_simd.rs`);
 //! * [`overhead_simd`] — AVX2 lane-parallel kernels for the Proposition-3
 //!   overhead forms, bit-identical to the scalar expressions (runtime
 //!   feature detection, scalar fallback);
