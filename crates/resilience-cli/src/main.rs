@@ -4,7 +4,7 @@
 //! ```text
 //! resilience-cli [sweep|nodes|mtbf|recall|grid|bench|serve|orchestrate]
 //!                [--reps N] [--threads N] [--seed S] [--grid-size K]
-//!                [--shard I/N] [--engine event|batch|simd|auto] [--trailer]
+//!                [--shard I/N] [--engine event|simd|auto] [--trailer]
 //!                [--bench-out PATH] [--guard] [--sweep-only] [--port P]
 //!                [--workers W] [--units U] [--deadline-ms D]
 //!                [--backoff-ms B] [--max-respawns R] [--fault-plan PLAN]
@@ -59,15 +59,15 @@
 //! (shard 0 prints the table header), so the stdout of N shard invocations
 //! concatenated in order is byte-identical to the unsharded run — the
 //! cross-process counterpart of the in-process worker pool. `--engine`
-//! picks the per-cell simulation backend (`auto`, the default, switches off
-//! `event` above `Backend::AUTO_BATCH_THRESHOLD` replications per cell —
-//! to `simd` when the host passes the AVX2 check, else `batch`). Optimizer
+//! picks the per-cell simulation backend (`auto`, the default, switches from
+//! `event` to `simd` at `Backend::AUTO_SIMD_THRESHOLD` replications per
+//! cell, on every host). Optimizer
 //! queries go through the shared memoized cache, whose hit/miss totals are
 //! reported on stderr. Overheads are percentages; checkpoint and recovery
 //! frequencies use the paper's per-hour / per-day units.
 
-// The CLI only orchestrates library calls; all unsafe lives in the two
-// allowlisted SIMD modules. Enforced by `xtask lint` (crate-attrs).
+// The CLI only orchestrates library calls; all unsafe lives in the
+// allowlisted SIMD engine. Enforced by `xtask lint` (crate-attrs).
 #![forbid(unsafe_code)]
 
 mod rows;
@@ -103,11 +103,9 @@ const GRID_AXIS_MAX: usize = GRID_AXIS_LEN;
 /// Largest `--grid-size` at which per-cell Monte-Carlo replication is
 /// allowed; the canonical sim-feasible decade.
 const GRID_SIM_MAX: usize = 10;
-/// Perf-guard floors (`--guard`): batch must hold this multiple of the
-/// event engine's headline throughput, and simd this multiple of batch
-/// (the simd floor applies only where the AVX2 path can run).
-const MIN_BATCH_OVER_EVENT: f64 = 3.0;
-const MIN_SIMD_OVER_BATCH: f64 = 1.3;
+/// Perf-guard floor (`--guard`): simd must hold this multiple of the event
+/// engine's headline throughput, on every host, AVX2 or not.
+const MIN_SIMD_OVER_EVENT: f64 = 3.9;
 /// Sweep-throughput guard floors: analytic cells/sec the threaded 100³
 /// grid must sustain. On a multicore host the partitioned analytic loop
 /// must clear 2M cells/s — a real scaling bar, though still well
@@ -123,7 +121,7 @@ const MIN_SWEEP_CELLS_PER_SEC_MULTICORE: f64 = 2_000_000.0;
 const MIN_SWEEP_THREADED_OVER_SERIAL: f64 = 1.0;
 
 /// All engines the bench exercises, in reporting order.
-const BENCH_ENGINES: [Backend; 3] = [Backend::Event, Backend::Batch, Backend::Simd];
+const BENCH_ENGINES: [Backend; 2] = [Backend::Event, Backend::Simd];
 
 struct Args {
     command: String,
@@ -252,9 +250,8 @@ fn parse_args() -> Args {
             "--engine" => {
                 seen.push("--engine");
                 let v = take_value(&argv, &mut i);
-                args.engine = Backend::parse(&v).unwrap_or_else(|| {
-                    die(&format!("--engine must be event, batch, simd or auto: {v}"))
-                });
+                args.engine = Backend::parse(&v)
+                    .unwrap_or_else(|| die(&format!("--engine must be event, simd or auto: {v}")));
             }
             "--bench-out" => {
                 seen.push("--bench-out");
@@ -318,7 +315,7 @@ fn parse_args() -> Args {
                 out(&format!(
                     "usage: resilience-cli [sweep|nodes|mtbf|recall|grid|bench|serve|orchestrate]\n\
                      \x20                     [--reps N] [--threads N] [--seed S] [--grid-size K]\n\
-                     \x20                     [--shard I/N] [--engine event|batch|simd|auto] [--trailer]\n\
+                     \x20                     [--shard I/N] [--engine event|simd|auto] [--trailer]\n\
                      \x20                     [--bench-out PATH] [--guard] [--sweep-only] [--port P]\n\
                      \x20                     [--workers W] [--units U] [--deadline-ms D]\n\
                      \x20                     [--backoff-ms B] [--max-respawns R] [--fault-plan PLAN]\n\
@@ -357,12 +354,12 @@ fn parse_args() -> Args {
                      \x20                (0 <= I < N; shard 0 prints the header, so the N stdouts\n\
                      \x20                concatenated in order equal the unsharded run)\n\
                      \x20 --engine E     simulation backend: event (bit-stable reference),\n\
-                     \x20                batch (SoA lockstep), simd (wide-SIMD lanes),\n\
-                     \x20                auto (simd/batch for large runs; default)\n\
+                     \x20                simd (wide-SIMD lanes), auto (event below {auto_simd}\n\
+                     \x20                replications per cell, simd from there; default)\n\
                      \x20 --bench-out P  bench JSON path (default BENCH_engines.json)\n\
                      \x20 --guard        bench only: exit nonzero (with a GitHub error\n\
-                     \x20                annotation) when headline speedups fall below\n\
-                     \x20                batch >= {MIN_BATCH_OVER_EVENT}x event or simd >= {MIN_SIMD_OVER_BATCH}x batch (AVX2 hosts),\n\
+                     \x20                annotation) when the headline simd speedup falls\n\
+                     \x20                below {MIN_SIMD_OVER_EVENT}x event,\n\
                      \x20                or threaded 100^3 analytic throughput falls below\n\
                      \x20                {MIN_SWEEP_CELLS_PER_SEC} cells/s ({MIN_SWEEP_CELLS_PER_SEC_MULTICORE} cells/s on multicore\n\
                      \x20                hosts, where threaded losing to serial is also an error)\n\
@@ -396,7 +393,8 @@ fn parse_args() -> Args {
                      \x20                sweep — what --cache-in consumes\n\
                      \x20 --optimum-server ADDR  sweep commands: resolve cache misses through a\n\
                      \x20                running serve --port daemon at HOST:PORT (one query per\n\
-                     \x20                miss) instead of deriving locally"
+                     \x20                miss) instead of deriving locally",
+                    auto_simd = Backend::AUTO_SIMD_THRESHOLD,
                 ));
                 std::process::exit(0);
             }
@@ -1057,6 +1055,11 @@ fn time_all_engines(
         .collect()
 }
 
+/// Event seconds over simd seconds in a `time_all_engines` result.
+fn simd_speedup(timings: &[(Backend, f64)]) -> f64 {
+    secs_of(timings, Backend::Event) / secs_of(timings, Backend::Simd)
+}
+
 /// Seconds of `wanted` in a `time_all_engines` result.
 fn secs_of(timings: &[(Backend, f64)], wanted: Backend) -> f64 {
     timings
@@ -1112,12 +1115,11 @@ fn run_bench(args: &Args) {
         ]));
     };
 
-    // Headline: the long single-cell run batch/simd amortize best on.
+    // Headline: the long single-cell run simd amortizes best on.
     let headline = time_all_engines(headline_scenario, reps, args.seed, |b, s| {
         table_row("headline", b, reps, s)
     });
-    let batch_over_event = secs_of(&headline, Backend::Event) / secs_of(&headline, Backend::Batch);
-    let simd_over_batch = secs_of(&headline, Backend::Batch) / secs_of(&headline, Backend::Simd);
+    let simd_over_event = simd_speedup(&headline);
 
     // Matrix: every engine × every named scenario, shorter per cell.
     let mut matrix_json = Vec::new();
@@ -1130,11 +1132,10 @@ fn run_bench(args: &Args) {
             .map(|&(b, secs)| engine_json(b, secs, matrix_reps, 8))
             .collect();
         matrix_json.push(format!(
-            "    {{\n      \"scenario\": \"{}\",\n      \"replications\": {matrix_reps},\n      \"engines\": [\n{}\n      ],\n      \"speedup_batch_over_event\": {:.2},\n      \"speedup_simd_over_batch\": {:.2}\n    }}",
+            "    {{\n      \"scenario\": \"{}\",\n      \"replications\": {matrix_reps},\n      \"engines\": [\n{}\n      ],\n      \"speedup_simd_over_event\": {:.2}\n    }}",
             scenario.name,
             engines.join(",\n"),
-            secs_of(&timings, Backend::Event) / secs_of(&timings, Backend::Batch),
-            secs_of(&timings, Backend::Batch) / secs_of(&timings, Backend::Simd),
+            simd_speedup(&timings),
         ));
     }
 
@@ -1150,7 +1151,7 @@ fn run_bench(args: &Args) {
         .map(|&(b, secs)| engine_json(b, secs, reps, 4))
         .collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"single-cell {} {} optimum\",\n  \"replications\": {reps},\n  \"seed\": {},\n  \"threads\": 1,\n  \"available_parallelism\": {},\n  \"simd_supported\": {},\n  \"engines\": [\n{}\n  ],\n  \"speedup_batch_over_event\": {batch_over_event:.2},\n  \"speedup_simd_over_batch\": {simd_over_batch:.2},\n  \"matrix\": [\n{}\n  ],\n  \"sweep_throughput\": [\n{}\n  ],\n  \"shard_warm_vs_cold\": {}\n}}\n",
+        "{{\n  \"benchmark\": \"single-cell {} {} optimum\",\n  \"replications\": {reps},\n  \"seed\": {},\n  \"threads\": 1,\n  \"available_parallelism\": {},\n  \"simd_supported\": {},\n  \"engines\": [\n{}\n  ],\n  \"speedup_simd_over_event\": {simd_over_event:.2},\n  \"matrix\": [\n{}\n  ],\n  \"sweep_throughput\": [\n{}\n  ],\n  \"shard_warm_vs_cold\": {}\n}}\n",
         headline_scenario.name,
         Theorem::Four.label(),
         args.seed,
@@ -1166,7 +1167,7 @@ fn run_bench(args: &Args) {
     }
     let big = sweeps.last().expect("at least one sweep bench");
     eprintln!(
-        "bench: batch is {batch_over_event:.2}x event, simd {simd_over_batch:.2}x batch over \
+        "bench: simd is {simd_over_event:.2}x event over \
          {reps} replications ({} engine-scenario matrix cells at {matrix_reps}); analytic \
          {}: {:.0} cells/s threaded ({:.2}x serial); warm shards {:.2}x cold; wrote {}",
         BENCH_ENGINES.len() * scenarios.len(),
@@ -1178,32 +1179,19 @@ fn run_bench(args: &Args) {
     );
 
     if args.guard {
-        guard_speedups(batch_over_event, simd_over_batch, big, &shard);
+        guard_speedups(simd_over_event, big, &shard);
     }
 }
 
 /// `--guard`: fail loudly (GitHub error annotation + exit 1) when the
-/// headline speedups or the million-cell analytic sweep throughput regress
-/// below the hard floors. The simd floor applies only where the AVX2 path
-/// can actually run; elsewhere the scalar fallback is informational.
-fn guard_speedups(
-    batch_over_event: f64,
-    simd_over_batch: f64,
-    sweep: &SweepBench,
-    shard: &ShardBench,
-) {
+/// headline speedup or the million-cell analytic sweep throughput regress
+/// below the hard floors.
+fn guard_speedups(simd_over_event: f64, sweep: &SweepBench, shard: &ShardBench) {
     let mut failed = false;
-    if batch_over_event < MIN_BATCH_OVER_EVENT {
-        println!(
-            "::error title=engine perf regression::batch engine is only \
-             {batch_over_event:.2}x the event engine (floor {MIN_BATCH_OVER_EVENT}x)"
-        );
-        failed = true;
-    }
-    if SimdEngine::runtime_supported() && simd_over_batch < MIN_SIMD_OVER_BATCH {
+    if simd_over_event < MIN_SIMD_OVER_EVENT {
         println!(
             "::error title=engine perf regression::simd engine is only \
-             {simd_over_batch:.2}x the batch engine (floor {MIN_SIMD_OVER_BATCH}x on AVX2 hosts)"
+             {simd_over_event:.2}x the event engine (floor {MIN_SIMD_OVER_EVENT}x)"
         );
         failed = true;
     }
@@ -1213,8 +1201,8 @@ fn guard_speedups(
         std::process::exit(1);
     }
     eprintln!(
-        "bench guard: floors held (batch >= {MIN_BATCH_OVER_EVENT}x event, \
-         simd >= {MIN_SIMD_OVER_BATCH}x batch, {}, warmed shards missed 0 covered keys)",
+        "bench guard: floors held (simd >= {MIN_SIMD_OVER_EVENT}x event, {}, \
+         warmed shards missed 0 covered keys)",
         sweep_guard_note(sweep)
     );
 }

@@ -231,11 +231,49 @@ fn valid_combinations_still_run() {
         "--reps",
         "5",
         "--engine",
-        "batch",
+        "simd",
     ]);
     assert!(ok, "{stderr}");
     let (ok, stderr) = run(&[
         "sweep", "--reps", "5", "--engine", "event", "--shard", "1/3",
     ]);
     assert!(ok, "{stderr}");
+}
+
+#[test]
+fn batch_engine_spelling_is_rejected() {
+    assert_dies(
+        &[
+            "grid",
+            "--grid-size",
+            "2",
+            "--reps",
+            "5",
+            "--engine",
+            "batch",
+        ],
+        &["--engine must be event, simd or auto: batch"],
+    );
+}
+
+#[test]
+fn default_auto_engine_prints_the_simd_bytes_at_the_threshold() {
+    // `auto` resolves by replication count alone, so at the threshold the
+    // default run is the simd run on every host, byte for byte.
+    let stdout = |extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_resilience-cli"))
+            .args(["grid", "--grid-size", "2", "--reps", "20000"])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let auto = stdout(&[]);
+    assert!(!auto.is_empty());
+    assert_eq!(auto, stdout(&["--engine", "simd"]));
 }

@@ -9,8 +9,6 @@
 //! cargo build --release
 //! ./target/release/resilience-cli sweep --reps 40 --threads 2 --engine event \
 //!     > crates/resilience-cli/tests/fixtures/sweep_event.txt
-//! ./target/release/resilience-cli sweep --reps 40 --threads 2 --engine batch \
-//!     > crates/resilience-cli/tests/fixtures/sweep_batch.txt
 //! ./target/release/resilience-cli grid --grid-size 2 --threads 2 \
 //!     > crates/resilience-cli/tests/fixtures/grid_analytic.txt
 //! ```
@@ -65,22 +63,6 @@ fn sweep_with_event_engine_matches_fixture() {
             "event",
         ],
         "sweep_event.txt",
-    );
-}
-
-#[test]
-fn sweep_with_batch_engine_matches_fixture() {
-    assert_matches_fixture(
-        &[
-            "sweep",
-            "--reps",
-            "40",
-            "--threads",
-            "2",
-            "--engine",
-            "batch",
-        ],
-        "sweep_batch.txt",
     );
 }
 

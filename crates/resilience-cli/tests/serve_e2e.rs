@@ -2,16 +2,17 @@
 //! bytes must equal the same answers rendered from direct library calls,
 //! on both transports (stdin/stdout pipe and TCP), a `shutdown` query
 //! must ack, close the stream, and exit the process cleanly, and an
-//! over-long request line must cost only its own connection.
+//! over-long request line or a connection over the cap must cost only its
+//! own connection.
 
 use resilience::{grid_spec, reference_scenarios, Theorem};
 use resilience_service::protocol::{Query, Reply, Request, Response};
-use resilience_service::server::MAX_REQUEST_LINE;
+use resilience_service::server::{MAX_CONNECTIONS, MAX_REQUEST_LINE};
 use serde::Serialize;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Deterministic mixed workload with library-computed expected responses.
 fn workload() -> Vec<(String, String)> {
@@ -253,6 +254,94 @@ fn an_overlong_line_is_refused_and_closes_only_its_connection() {
     let mut line = String::new();
     answers.read_line(&mut line).expect("read shutdown ack");
     assert_eq!(line.trim_end(), bye_expected);
+    let status = child.wait().expect("daemon exits");
+    assert!(status.success(), "daemon exit status: {status}");
+}
+
+/// Sends one request line on `stream` and returns the reply line.
+fn ask(stream: &mut TcpStream, request: &str) -> String {
+    stream
+        .write_all(format!("{request}\n").as_bytes())
+        .expect("write request");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read response");
+    line.trim_end().to_owned()
+}
+
+#[test]
+fn connections_over_the_cap_are_refused_by_name_and_open_ones_keep_working() {
+    let mut child = spawn_serve(&["--port", "0"]);
+    let addr = announced_addr(&mut child);
+    let (request, expected) = workload().swap_remove(0);
+
+    // Fill every slot, each proven live by a correct answer.
+    let mut open: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut stream = TcpStream::connect(&addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .expect("read timeout");
+            assert_eq!(ask(&mut stream, &request), expected);
+            stream
+        })
+        .collect();
+
+    // One more gets the named refusal, then end of stream.
+    let refusal = Response {
+        id: 0,
+        outcome: Err(format!(
+            "server busy: {MAX_CONNECTIONS} connections already open \
+             (MAX_CONNECTIONS); closing connection"
+        )),
+    };
+    let extra = TcpStream::connect(&addr).expect("connect over the cap");
+    extra
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut extra = BufReader::new(extra);
+    let mut reply = String::new();
+    extra.read_line(&mut reply).expect("read refusal");
+    assert_eq!(reply.trim_end(), refusal.to_json_string());
+    let mut rest = Vec::new();
+    assert_eq!(extra.read_to_end(&mut rest).expect("read to EOF"), 0);
+
+    // Connections already open are unaffected.
+    assert_eq!(ask(&mut open[0], &request), expected);
+    assert_eq!(ask(&mut open[MAX_CONNECTIONS - 1], &request), expected);
+
+    // Closing one frees its slot once its handler sees the hangup. Probe
+    // by listening first: a refused socket says so unprompted. A socket
+    // that stays silent is asked a query; a refusal or reset that still
+    // arrives (a slow accept) means the slot was not free yet.
+    drop(open.pop());
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let fresh = loop {
+        assert!(Instant::now() < deadline, "the closed slot never freed");
+        let mut probe = TcpStream::connect(&addr).expect("connect after a close");
+        probe
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .expect("read timeout");
+        let mut reader = BufReader::new(probe.try_clone().expect("clone probe"));
+        let mut line = String::new();
+        if reader.read_line(&mut line).is_err() {
+            let _ = probe.write_all(format!("{request}\n").as_bytes());
+            line.clear();
+            if reader.read_line(&mut line).is_ok() && line.trim_end() == expected {
+                break probe;
+            }
+        }
+        if !line.is_empty() {
+            assert_eq!(line.trim_end(), refusal.to_json_string());
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+
+    let (bye_request, bye_expected) = shutdown_line(65);
+    assert_eq!(ask(&mut open[0], &bye_request), bye_expected);
+    // The daemon exits once every open connection has hung up.
+    drop(fresh);
+    drop(open);
     let status = child.wait().expect("daemon exits");
     assert!(status.success(), "daemon exit status: {status}");
 }

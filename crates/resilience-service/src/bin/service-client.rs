@@ -15,6 +15,8 @@
 //! Exits 0 only when every check passes; any mismatch prints the offending
 //! pair and exits 1. Used by the CI service smoke job and the e2e tests.
 
+#![forbid(unsafe_code)]
+
 use resilience::{first_order_overhead, grid_spec, reference_scenarios, Scenario, Theorem};
 use resilience_service::batcher::DEFAULT_MIN_WINDOW_US;
 use resilience_service::protocol::{Query, Reply, Request, Response};

@@ -5,17 +5,18 @@
 //! * [`protocol`] — the wire types ([`Request`], [`Query`], [`Response`],
 //!   [`Reply`], [`ServiceStats`]) and their JSON encodings;
 //! * [`batcher`] — the coalescing engine: concurrent submissions drain
-//!   into batches against a shared [`resilience::OptimumCache`] and the
-//!   8-lane Theorem-4 evaluator, under an adaptive window that grows when
-//!   batches saturate and decays back to its minimum when traffic stops;
+//!   into batches against a shared [`resilience::OptimumCache`], under an
+//!   adaptive window that grows when batches saturate and decays back to
+//!   its minimum when traffic stops;
 //! * [`server`] — stdin/stdout pipe and TCP transports with per-connection
-//!   in-order responses, bounded request lines, and clean shutdown;
+//!   in-order responses, bounded request lines and connection counts, and
+//!   clean shutdown;
 //! * [`client`] — a blocking, pipelining TCP client: the worker side of
 //!   the `--optimum-server` live-share mode, plus snapshot fetch.
 //!
-//! Answers are byte-identical to direct library calls: the cache and the
-//! SIMD batch evaluator are pinned bit-identical to the scalar closed
-//! forms, and the JSON layer renders losslessly. The service smoke tests
+//! Answers are byte-identical to direct library calls: the cache is pinned
+//! bit-identical to the closed forms it memoizes, and the JSON layer
+//! renders losslessly. The service smoke tests
 //! diff the daemon's bytes against locally computed responses.
 //!
 //! This crate is deliberately *outside* the determinism-pinned set (it

@@ -12,6 +12,11 @@
 //! bytes gets one `invalid request` reply and closes its connection, so a
 //! client that never sends a newline cannot grow the daemon's memory.
 //!
+//! Connections are bounded too: while [`MAX_CONNECTIONS`] handlers are
+//! live, the TCP accept loop answers each further connection with one
+//! error line naming the cap and closes it, so a client that opens sockets
+//! without end cannot grow the daemon's thread count.
+//!
 //! A `shutdown` query is acknowledged by the connection itself (it never
 //! enters the batch queue): the writer emits the ack, then trips the
 //! server's shutdown trigger. The TCP accept loop wakes, stops accepting,
@@ -23,12 +28,15 @@ use crate::protocol::{Query, Reply, Request, Response};
 use serde::{Deserialize, Serialize, Value};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 
 /// Longest request line the reader accepts, in bytes (newline excluded).
 pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// Most TCP connections served at once; the accept loop refuses the rest.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// One response the writer owes the client, in request order.
 struct PendingResponse {
@@ -255,23 +263,51 @@ fn trip_shutdown(stop: &AtomicBool, addr: SocketAddr) {
     let _ = TcpStream::connect(addr);
 }
 
+/// One live connection handler, counted in the accept loop's tally until
+/// the handler ends (however it ends).
+struct LiveConnection<'a>(&'a AtomicUsize);
+
+impl Drop for LiveConnection<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 fn accept_loop(
     listener: &TcpListener,
     addr: SocketAddr,
     batcher: &Arc<Batcher>,
     stop: &Arc<AtomicBool>,
 ) {
+    let live = AtomicUsize::new(0);
     thread::scope(|scope| {
         for conn in listener.incoming() {
             if stop.load(Ordering::SeqCst) {
                 break;
             }
-            let Ok(stream) = conn else {
+            let Ok(mut stream) = conn else {
                 continue;
             };
+            if live.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                // One short line fits the fresh socket's send buffer, so
+                // this write does not block the accept loop. Dropping the
+                // stream closes it.
+                let refusal = Response {
+                    id: 0,
+                    outcome: Err(format!(
+                        "server busy: {MAX_CONNECTIONS} connections already open \
+                         (MAX_CONNECTIONS); closing connection"
+                    )),
+                };
+                let _ = stream.write_all((refusal.to_json_string() + "\n").as_bytes());
+                continue;
+            }
+            live.fetch_add(1, Ordering::SeqCst);
+            let slot = LiveConnection(&live);
             let batcher = Arc::clone(batcher);
             let stop = Arc::clone(stop);
             scope.spawn(move || {
+                let _slot = slot;
                 let Ok(read_half) = stream.try_clone() else {
                     return;
                 };

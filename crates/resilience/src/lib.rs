@@ -9,13 +9,7 @@
 //!   `H = o_ef/W + o_rw·W`, with the silent re-execution fraction computed
 //!   through the `βᵀAβ` quadratic form of Proposition 3;
 //! * [`optimal`] — closed-form optima for Theorems 1–4 (plus the Young/Daly
-//!   baseline), Eq. (18) chunk sizes, convex integer rounding, and the
-//!   8-lane [`optimal::theorem4_batch`] front-end, called only by the
-//!   benchmark's coordinator layer (`perfbench`) and its bit-identity
-//!   tests (`tests/overhead_simd.rs`);
-//! * [`overhead_simd`] — AVX2 lane-parallel kernels for the Proposition-3
-//!   overhead forms, bit-identical to the scalar expressions (runtime
-//!   feature detection, scalar fallback);
+//!   baseline), Eq. (18) chunk sizes and convex integer rounding;
 //! * [`sweep`] — [`SweepSpec`] cross-products of (platform, costs) points ×
 //!   theorems, expanded *streaming* into deterministically-indexed cells
 //!   (O(1) [`SweepSpec::cell_at`] random access, lazy [`CellName`]s, and a
@@ -36,14 +30,13 @@
 //! Every closed form is cross-checked against the unified numeric optimizers
 //! of the `numerics` crate in `tests/consistency.rs`.
 
-// Unsafe is confined to `overhead_simd` (on the `xtask lint` allowlist), and
-// every operation inside an `unsafe fn` must restate its own obligations.
-#![deny(unsafe_op_in_unsafe_fn)]
+// Pure arithmetic and data structures: no unsafe code, enforced here and by
+// `xtask lint` (crate-attrs).
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod optimal;
 pub mod overhead;
-pub mod overhead_simd;
 pub mod pattern;
 pub mod platform;
 pub mod scenario;
@@ -53,8 +46,8 @@ pub mod wire;
 
 pub use cache::{CacheStats, OptimumCache, OptimumKey};
 pub use optimal::{
-    eq18_chunks, eq18_value, theorem1, theorem2, theorem3, theorem4, theorem4_batch,
-    theorem4_batch_with, young_daly, PatternOptimum,
+    eq18_chunks, eq18_value, theorem1, theorem2, theorem3, theorem4, theorem4_batch, young_daly,
+    PatternOptimum,
 };
 pub use overhead::{error_free_cost, first_order_overhead, reexec_rate, silent_reexec_fraction};
 pub use pattern::{CompiledChunk, CompiledPattern, Pattern, VerifyKind};

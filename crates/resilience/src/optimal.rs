@@ -74,18 +74,14 @@ pub fn theorem1(platform: &Platform, costs: &CostModel) -> PatternOptimum {
 
 /// Overhead of the Theorem 2 pattern as a function of a (relaxed) segment
 /// count `m`.
-///
-/// `pub(crate)` so the 8-lane evaluator ([`crate::overhead_simd`]) can use
-/// this exact expression as its scalar-lane reference — the SIMD kernels
-/// mirror its operation order term for term.
-pub(crate) fn h2(platform: &Platform, costs: &CostModel, m: f64) -> f64 {
+fn h2(platform: &Platform, costs: &CostModel, m: f64) -> f64 {
     let o_ef = m * costs.guaranteed_verif + costs.checkpoint;
     let o_rw = platform.lambda_fail / 2.0 + platform.lambda_silent * (m + 1.0) / (2.0 * m);
     2.0 * (o_ef * o_rw).sqrt()
 }
 
 /// Continuous optimal segment count `m̄` for Theorem 2 (before rounding).
-pub(crate) fn th2_mbar(platform: &Platform, costs: &CostModel) -> f64 {
+fn th2_mbar(platform: &Platform, costs: &CostModel) -> f64 {
     let (lf, ls) = (platform.lambda_fail, platform.lambda_silent);
     if ls > 0.0 {
         (costs.checkpoint * ls / (costs.guaranteed_verif * (lf + ls))).sqrt()
@@ -141,9 +137,8 @@ pub fn eq18_value(m: usize, r: f64) -> f64 {
 }
 
 /// Overhead of the Theorem 3 pattern as a function of a (relaxed) chunk
-/// count `m`, assuming Eq. (18) optimal chunk sizes. `pub(crate)`: scalar
-/// reference for [`crate::overhead_simd`].
-pub(crate) fn h3(platform: &Platform, costs: &CostModel, m: f64) -> f64 {
+/// count `m`, assuming Eq. (18) optimal chunk sizes.
+fn h3(platform: &Platform, costs: &CostModel, m: f64) -> f64 {
     let r = costs.recall;
     let o_ef = (m - 1.0) * costs.partial_verif + costs.guaranteed_verif + costs.checkpoint;
     let u = (m - 2.0) * r + 2.0;
@@ -158,7 +153,7 @@ pub(crate) fn h3(platform: &Platform, costs: &CostModel, m: f64) -> f64 {
 /// `a = v/r`, `b = V*+C − v(2−r)/r`, `c = (λ_f+λ_s)/2`, `d = λ_s(2−r)/2`,
 /// so `ū = √(bd/(ac))`, clamped to the single-chunk boundary when the
 /// closed form falls below it (partial verifications too expensive).
-pub(crate) fn th3_mbar(platform: &Platform, costs: &CostModel) -> f64 {
+fn th3_mbar(platform: &Platform, costs: &CostModel) -> f64 {
     let (lf, ls) = (platform.lambda_fail, platform.lambda_silent);
     let r = costs.recall;
     let v = costs.partial_verif;
@@ -197,8 +192,7 @@ pub fn theorem3(platform: &Platform, costs: &CostModel) -> PatternOptimum {
 /// Overhead of the Theorem 4 pattern with `m` guaranteed sub-segments, each
 /// holding `n` partial verifications (so `n+1` Eq.-(18)-sized chunks) — the
 /// Proposition-3 first-order overhead at the Eq.-(18) chunk optimum.
-/// `pub(crate)`: scalar reference for [`crate::overhead_simd`].
-pub(crate) fn h4(platform: &Platform, costs: &CostModel, n: f64, m: f64) -> f64 {
+fn h4(platform: &Platform, costs: &CostModel, n: f64, m: f64) -> f64 {
     let r = costs.recall;
     let o_ef = m * (costs.guaranteed_verif + n * costs.partial_verif) + costs.checkpoint;
     let u = (n - 1.0) * r + 2.0;
@@ -247,34 +241,7 @@ fn h4_memo(
 pub fn theorem4(platform: &Platform, costs: &CostModel) -> PatternOptimum {
     let (m2_bar, m2) = th2_core(platform, costs);
     let (m3_bar, m3) = th3_core(platform, costs);
-    theorem4_from_cores(
-        platform,
-        costs,
-        (m2_bar, m2),
-        (m3_bar, m3),
-        Vec::with_capacity(12),
-    )
-}
-
-/// The Theorem-4 candidate search given both boundary cores, with an
-/// optionally pre-seeded [`h4_memo`] table.
-///
-/// This is the whole of [`theorem4`] after the core derivations — split out
-/// so [`theorem4_batch`] can compute the cores and every boundary/corner
-/// `h4` value 8 lanes at a time and hand them in through `evals`. Seeded
-/// values must be bit-identical to what [`h4`] returns (the SIMD kernels
-/// are pinned to guarantee exactly that); the memo then only *looks up*,
-/// and every comparison — hence the selected `(n, m)` and the finalized
-/// pattern — is bit-for-bit the same as the un-seeded scalar search. A
-/// missing seed is not an error: the memo falls back to computing `h4`
-/// itself, which is again bit-identical, just slower.
-fn theorem4_from_cores(
-    platform: &Platform,
-    costs: &CostModel,
-    (m2_bar, m2): (f64, u64),
-    (m3_bar, m3): (f64, u64),
-    mut evals: Vec<(u64, u64, f64)>,
-) -> PatternOptimum {
+    let mut evals: Vec<(u64, u64, f64)> = Vec::with_capacity(12);
     // (n, m) candidates; k = n + 1 so that both coordinates share the ≥ 1
     // clamp of best_integer_pair.
     let mut best: (u64, u64, f64) = (0, m2, h4_memo(&mut evals, platform, costs, 0, m2));
@@ -308,125 +275,12 @@ fn theorem4_from_cores(
     )
 }
 
-/// Batched Theorem 4 over many `(platform, costs)` cells, 8 lanes per AVX2
-/// pass: the sweep executor's analytic hot path.
+/// [`theorem4`] mapped over `cells`, in order.
 ///
-/// Equivalent to mapping [`theorem4`] over `cells` — bit for bit. The
-/// closed-form continuous optima (`m̄₂`, `m̄₃`) and every Proposition-3
-/// overhead the candidate search compares ([`h2`]/[`h3`] at the rounded
-/// boundary neighbours, [`h4`] at the boundary candidates and polish
-/// corners) are evaluated lane-parallel by [`crate::overhead_simd`]; only
-/// the integer selection, Eq.-(18) chunk vector, and pattern finalization
-/// stay scalar per cell. The kernels use exactly-rounded AVX2 arithmetic in
-/// the scalar expressions' operation order (no FMA contraction), so each
-/// lane's value matches the scalar path bit for bit — pinned over all named
-/// scenarios and grid samples in `tests/overhead_simd.rs`. On hosts without
-/// AVX2 every lane runs the scalar expressions directly.
+/// Nothing in the workspace calls it: it stays public only because the
+/// benchmark harness (`perfbench`) links it.
 pub fn theorem4_batch(cells: &[(Platform, CostModel)]) -> Vec<PatternOptimum> {
-    theorem4_batch_with(cells, false)
-}
-
-/// [`theorem4_batch`] with a forced-scalar knob, so the lane fallback stays
-/// exercised (and pinnable) on AVX2 hosts.
-pub fn theorem4_batch_with(
-    cells: &[(Platform, CostModel)],
-    force_scalar: bool,
-) -> Vec<PatternOptimum> {
-    use crate::overhead_simd::{self as simd, LANES};
-    let mut out = Vec::with_capacity(cells.len());
-    if force_scalar || !simd::runtime_supported() {
-        out.extend(cells.iter().map(|(p, c)| theorem4(p, c)));
-        return out;
-    }
-    for group in cells.chunks(LANES) {
-        theorem4_group(group, &mut out);
-    }
-    out
-}
-
-/// One ≤ 8-lane group of [`theorem4_batch`]: vectorized h-evaluations, then
-/// the scalar selection per lane with a fully seeded memo.
-fn theorem4_group(cells: &[(Platform, CostModel)], out: &mut Vec<PatternOptimum>) {
-    use crate::overhead_simd::{self as simd, LANES};
-    let pack = simd::LanePack::from_cells(cells);
-    let to_f64 = |xs: &[u64; LANES]| xs.map(|x| x as f64);
-
-    // Theorem-2 boundary: continuous m̄₂, floor/ceil neighbours, h2 at both.
-    // The rounding below replicates best_integer_neighbor's clamps exactly;
-    // evaluating h2 at `hi` even where `hi == lo` is harmless because the
-    // selection ignores it there, exactly as the scalar early return does.
-    let m2_bar = simd::th2_mbar_x8(&pack, false);
-    let mut lo2 = [1u64; LANES];
-    let mut hi2 = [1u64; LANES];
-    for l in 0..LANES {
-        let x_star = m2_bar[l].max(1.0);
-        lo2[l] = x_star.floor().max(1.0) as u64;
-        hi2[l] = lo2[l].max(x_star.ceil().max(1.0) as u64);
-    }
-    let f_lo2 = simd::h2_x8(&pack, &to_f64(&lo2), false);
-    let f_hi2 = simd::h2_x8(&pack, &to_f64(&hi2), false);
-    let mut m2 = [1u64; LANES];
-    for l in 0..LANES {
-        m2[l] = if hi2[l] == lo2[l] || f_lo2[l] <= f_hi2[l] {
-            lo2[l]
-        } else {
-            hi2[l]
-        };
-    }
-
-    // Theorem-3 boundary, same discipline over h3.
-    let m3_bar = simd::th3_mbar_x8(&pack, false);
-    let mut lo3 = [1u64; LANES];
-    let mut hi3 = [1u64; LANES];
-    for l in 0..LANES {
-        let x_star = m3_bar[l].max(1.0);
-        lo3[l] = x_star.floor().max(1.0) as u64;
-        hi3[l] = lo3[l].max(x_star.ceil().max(1.0) as u64);
-    }
-    let f_lo3 = simd::h3_x8(&pack, &to_f64(&lo3), false);
-    let f_hi3 = simd::h3_x8(&pack, &to_f64(&hi3), false);
-    let mut m3 = [1u64; LANES];
-    for l in 0..LANES {
-        m3[l] = if hi3[l] == lo3[l] || f_lo3[l] <= f_hi3[l] {
-            lo3[l]
-        } else {
-            hi3[l]
-        };
-    }
-
-    // Every h4 the candidate search can query lies on one of the two
-    // boundaries at the rounded neighbours: (n=0, m∈{lo₂,hi₂}) from the
-    // Theorem-2 side ((0, m₂) and the first polish's corners) and
-    // (n∈{lo₃,hi₃}−1, m=1) from the Theorem-3 side ((m₃−1, 1) and the
-    // second polish's corners). Four lane-parallel passes cover the lot.
-    let zeros = [0.0; LANES];
-    let ones = [1.0; LANES];
-    let h4_lo2 = simd::h4_x8(&pack, &zeros, &to_f64(&lo2), false);
-    let h4_hi2 = simd::h4_x8(&pack, &zeros, &to_f64(&hi2), false);
-    let n_lo3 = lo3.map(|m| (m - 1) as f64);
-    let n_hi3 = hi3.map(|m| (m - 1) as f64);
-    let h4_lo3 = simd::h4_x8(&pack, &n_lo3, &ones, false);
-    let h4_hi3 = simd::h4_x8(&pack, &n_hi3, &ones, false);
-
-    for (l, (platform, costs)) in cells.iter().enumerate() {
-        let mut evals: Vec<(u64, u64, f64)> = Vec::with_capacity(12);
-        let mut seed = |n: u64, m: u64, h: f64| {
-            if !evals.iter().any(|&(en, em, _)| en == n && em == m) {
-                evals.push((n, m, h));
-            }
-        };
-        seed(0, lo2[l], h4_lo2[l]);
-        seed(0, hi2[l], h4_hi2[l]);
-        seed(lo3[l] - 1, 1, h4_lo3[l]);
-        seed(hi3[l] - 1, 1, h4_hi3[l]);
-        out.push(theorem4_from_cores(
-            platform,
-            costs,
-            (m2_bar[l], m2[l]),
-            (m3_bar[l], m3[l]),
-            evals,
-        ));
-    }
+    cells.iter().map(|(p, c)| theorem4(p, c)).collect()
 }
 
 #[cfg(test)]

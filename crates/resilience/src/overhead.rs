@@ -14,12 +14,6 @@
 //! the chunk fractions `β`, with `A` the recall matrix — for equal chunks
 //! under guaranteed verifications it degenerates to the familiar
 //! `(m + 1) / (2m)`.
-//!
-//! These evaluators price one pattern at a time. For sweeps that evaluate
-//! the same closed forms across many `(Platform, CostModel)` cells at
-//! once, [`crate::overhead_simd`] provides the 8-lane batched counterpart
-//! ([`crate::optimal::theorem4_batch`] is the entry point) — bit-identical
-//! to these scalar paths by construction and by test.
 
 use crate::pattern::Pattern;
 use crate::platform::{CostModel, Platform};

@@ -19,7 +19,7 @@
 //!
 //! This is the reference backend: one replication at a time, draws consumed
 //! in walk order. Its outputs are bit-stable across releases —
-//! `tests/backends.rs` pins them against captured goldens — so the batched
+//! `tests/backends.rs` pins them against captured goldens — so the SIMD
 //! backend always has a trusted baseline to be validated against.
 
 use super::{assert_committable, Engine, Execution};

@@ -3,26 +3,22 @@
 //!
 //! The [`Engine`] trait is the seam: [`event`] walks one replication at a
 //! time through an explicit discrete-event loop (the reference backend,
-//! bit-stable since the first release and pinned by golden tests), [`batch`]
-//! advances a whole bank of replications in lockstep over
-//! structure-of-arrays state so the hot loop autovectorizes, and [`simd`]
-//! goes one rung further: 8-lane SoA blocks with an explicit AVX2 fast-path
-//! mask (runtime-detected, bit-identical scalar fallback), jump-spaced lane
-//! RNG streams, and whole-attempt countdown draining. All backends sample
-//! the same distributions; `tests/backends.rs` pins their statistical
-//! agreement at fixed seeds.
+//! bit-stable since the first release and pinned by golden tests), and
+//! [`simd`] advances whole banks of replications in lockstep: 8-lane SoA
+//! blocks with an explicit AVX2 fast-path mask (runtime-detected,
+//! bit-identical scalar fallback), jump-spaced lane RNG streams, and
+//! whole-attempt countdown draining. Both backends sample the same
+//! distributions; `tests/backends.rs` pins their statistical agreement at
+//! fixed seeds.
 //!
 //! [`Backend`] is the user-facing selector carried by `RunConfig`: `Event`,
-//! `Batch`, `Simd`, or `Auto` (picks by replication count and host features
-//! — lane-parallel execution amortizes only when a stream runs many
-//! replications).
+//! `Simd`, or `Auto` (picks by replication count alone — lane-parallel
+//! execution amortizes only when a stream runs many replications).
 
-mod batch;
 mod event;
 mod program;
 mod simd;
 
-pub use batch::BatchEngine;
 pub use event::EventEngine;
 pub use simd::{SimdEngine, LANE_WIDTH};
 
@@ -139,43 +135,30 @@ pub enum Backend {
     /// bit-stable across releases (golden-pinned).
     #[default]
     Event,
-    /// Structure-of-arrays backend: lanes of replications advanced in
-    /// lockstep; statistically equivalent to `Event`, much faster on large
-    /// replication counts.
-    Batch,
     /// Wide-SIMD backend: 8-lane SoA blocks with a vectorized fast-path
     /// mask (AVX2 when available, bit-identical scalar fallback otherwise),
     /// jump-spaced lane RNG streams, and whole-attempt countdown draining.
-    /// Statistically equivalent to `Event`/`Batch`, fastest of the three on
-    /// large replication counts.
+    /// Statistically equivalent to `Event`, much faster on large
+    /// replication counts.
     Simd,
     /// Picks per run: below
-    /// [`AUTO_BATCH_THRESHOLD`](Backend::AUTO_BATCH_THRESHOLD)
-    /// replications, `Event`; at or above it, `Simd` when the host passes
-    /// the AVX2 feature check, else `Batch`. The machine-dependent half of
-    /// that rule is deliberate — `Auto` optimizes for speed; callers that
-    /// need machine-independent resolution pin a fixed backend.
+    /// [`AUTO_SIMD_THRESHOLD`](Backend::AUTO_SIMD_THRESHOLD) replications,
+    /// `Event`; at or above it, `Simd`. The rule depends on the replication
+    /// count alone, so `Auto` output is the same on every host.
     Auto,
 }
 
 impl Backend {
-    /// Replication count at which [`Backend::Auto`] switches off the event
-    /// backend. Below it, a stream runs too few replications to amortize
-    /// lane setup and tail idling.
-    pub const AUTO_BATCH_THRESHOLD: u64 = 20_000;
+    /// Replication count at which [`Backend::Auto`] switches from the event
+    /// backend to simd. Below it, a stream runs too few replications to
+    /// amortize lane setup and tail idling.
+    pub const AUTO_SIMD_THRESHOLD: u64 = 20_000;
 
-    /// Resolves `Auto` against a replication count (and, at or above the
-    /// threshold, the host's SIMD feature check); fixed backends return
+    /// Resolves `Auto` against a replication count; fixed backends return
     /// themselves.
     pub fn resolve(self, replications: u64) -> Backend {
         match self {
-            Backend::Auto if replications >= Self::AUTO_BATCH_THRESHOLD => {
-                if SimdEngine::runtime_supported() {
-                    Backend::Simd
-                } else {
-                    Backend::Batch
-                }
-            }
+            Backend::Auto if replications >= Self::AUTO_SIMD_THRESHOLD => Backend::Simd,
             Backend::Auto => Backend::Event,
             fixed => fixed,
         }
@@ -186,17 +169,15 @@ impl Backend {
     pub fn engine(self, replications: u64) -> Box<dyn Engine> {
         match self.resolve(replications) {
             Backend::Event => Box::new(EventEngine),
-            Backend::Batch => Box::new(BatchEngine::default()),
             Backend::Simd => Box::new(SimdEngine::default()),
             Backend::Auto => unreachable!("resolve() never returns Auto"),
         }
     }
 
-    /// Parses a CLI spelling (`event`, `batch`, `simd`, `auto`).
+    /// Parses a CLI spelling (`event`, `simd`, `auto`).
     pub fn parse(s: &str) -> Option<Backend> {
         match s {
             "event" => Some(Backend::Event),
-            "batch" => Some(Backend::Batch),
             "simd" => Some(Backend::Simd),
             "auto" => Some(Backend::Auto),
             _ => None,
@@ -207,7 +188,6 @@ impl Backend {
     pub fn label(self) -> &'static str {
         match self {
             Backend::Event => "event",
-            Backend::Batch => "batch",
             Backend::Simd => "simd",
             Backend::Auto => "auto",
         }
@@ -233,31 +213,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn auto_resolves_by_replication_count_and_feature_check() {
+    fn auto_resolves_by_replication_count_alone() {
         assert_eq!(Backend::Auto.resolve(1), Backend::Event);
         assert_eq!(
-            Backend::Auto.resolve(Backend::AUTO_BATCH_THRESHOLD - 1),
+            Backend::Auto.resolve(Backend::AUTO_SIMD_THRESHOLD - 1),
             Backend::Event
         );
-        // At the threshold the choice is machine-dependent by design:
-        // simd on AVX2 hosts, batch elsewhere — but never event.
-        let big = Backend::Auto.resolve(Backend::AUTO_BATCH_THRESHOLD);
-        if SimdEngine::runtime_supported() {
-            assert_eq!(big, Backend::Simd);
-        } else {
-            assert_eq!(big, Backend::Batch);
-        }
+        // Machine-independent: simd at the threshold on every host.
+        assert_eq!(
+            Backend::Auto.resolve(Backend::AUTO_SIMD_THRESHOLD),
+            Backend::Simd
+        );
         assert_eq!(Backend::Event.resolve(u64::MAX), Backend::Event);
-        assert_eq!(Backend::Batch.resolve(0), Backend::Batch);
         assert_eq!(Backend::Simd.resolve(0), Backend::Simd);
     }
 
     #[test]
     fn parse_and_label_round_trip() {
-        for b in [Backend::Event, Backend::Batch, Backend::Simd, Backend::Auto] {
+        for b in [Backend::Event, Backend::Simd, Backend::Auto] {
             assert_eq!(Backend::parse(b.label()), Some(b));
         }
         assert_eq!(Backend::parse("vectorized"), None);
+        assert_eq!(Backend::parse("batch"), None);
         assert_eq!(Backend::default(), Backend::Event);
     }
 }

@@ -1,13 +1,9 @@
-//! Shared pattern lowering and lane stepping for the lockstep backends: a
+//! Pattern lowering and lane stepping for the lockstep SIMD backend: a
 //! [`CompiledPattern`] flattened into a linear activity program plus the
-//! per-attempt totals the fast paths compare countdowns against, and the
+//! per-attempt totals the fast path compares countdowns against, and the
 //! one-activity state transition ([`step_lane`]) every slow-path lane walks.
-//!
-//! Both the batch and SIMD backends run this exact program through this
-//! exact stepper, so they sample identical distributions by construction;
-//! only their lane layout, fast-path sweep and RNG plumbing differ.
 
-use crate::rng::{LaneRng, Rng};
+use crate::rng::LaneRng;
 use resilience::pattern::{CompiledPattern, VerifyKind};
 use resilience::platform::{CostModel, Platform};
 
@@ -54,6 +50,9 @@ pub(crate) struct Program {
 }
 
 impl Program {
+    /// Lowers `pattern` once per stream. Kept out of line: inlined into
+    /// the engine's stream loop it measurably slows the hot rounds.
+    #[inline(never)]
     pub(crate) fn compile(
         pattern: &CompiledPattern,
         platform: &Platform,
@@ -97,30 +96,14 @@ impl Program {
     }
 }
 
-/// The RNG draws a stepping lane may need (at most one per transition),
-/// abstracted over how a backend stores its lane streams: the batch engine
-/// holds one [`Rng`] per lane, the SIMD engine one lane of a [`LaneRng`].
-pub(crate) trait LaneDraws {
-    fn exp(&mut self, rate: f64) -> f64;
-    fn uniform(&mut self) -> f64;
-}
-
-impl LaneDraws for Rng {
-    fn exp(&mut self, rate: f64) -> f64 {
-        self.exponential(rate)
-    }
-    fn uniform(&mut self) -> f64 {
-        self.uniform()
-    }
-}
-
-/// One lane of a [`LaneRng`], as a draw source.
+/// One lane of a [`LaneRng`]: the stream a stepping lane draws from (at
+/// most one draw per transition).
 pub(crate) struct LaneOf<'a, const N: usize> {
     pub(crate) rng: &'a mut LaneRng<N>,
     pub(crate) lane: usize,
 }
 
-impl<const N: usize> LaneDraws for LaneOf<'_, N> {
+impl<const N: usize> LaneOf<'_, N> {
     fn exp(&mut self, rate: f64) -> f64 {
         self.rng.exp_lane(self.lane, rate)
     }
@@ -129,8 +112,8 @@ impl<const N: usize> LaneDraws for LaneOf<'_, N> {
     }
 }
 
-/// Mutable view of one lane's per-replication state, however the backend
-/// lays it out (flat `Vec`s for batch, fixed-width blocks for SIMD).
+/// Mutable view of one lane's per-replication state inside a fixed-width
+/// SIMD block.
 pub(crate) struct LaneState<'a> {
     /// Exposed seconds until the next fail-stop arrival.
     pub(crate) fail_cd: &'a mut f64,
@@ -146,14 +129,16 @@ pub(crate) struct LaneState<'a> {
     pub(crate) detections: &'a mut u64,
 }
 
-/// One slow-path activity transition — the single definition both lockstep
-/// backends step their lanes through, so their sampled distributions cannot
-/// drift apart.
+/// One slow-path activity transition.
 ///
 /// Returns `true` when the trailing checkpoint completed, i.e. the
 /// replication committed: the state is left intact (the caller emits the
 /// outcome from it, then resets the per-replication fields).
-pub(crate) fn step_lane(prog: &Program, st: LaneState<'_>, draws: &mut impl LaneDraws) -> bool {
+pub(crate) fn step_lane<const N: usize>(
+    prog: &Program,
+    st: LaneState<'_>,
+    draws: &mut LaneOf<'_, N>,
+) -> bool {
     let act = prog.acts[*st.pos as usize];
     if *st.fail_cd < act.duration {
         // The arrival lands inside this activity: lose the time up to it,

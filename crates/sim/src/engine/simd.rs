@@ -2,8 +2,18 @@
 //! over structure-of-arrays `f64` state, laid out in fixed-width blocks of
 //! [`LANE_WIDTH`] lanes.
 //!
-//! Three layers stack on top of the batch backend's persistent-countdown
-//! idea (see [`super::batch`]):
+//! The base idea is the **persistent arrival countdown**. Error arrivals
+//! are memoryless, so resampling a fresh exponential per activity (what the
+//! event backend does) is distributionally identical to sampling one
+//! arrival time and carrying the remaining countdown across activities,
+//! attempts, and even replications. Each lane keeps two countdowns —
+//! fail-stop (decremented by every exposed second) and silent (decremented
+//! by completed, still-uncorrupted work seconds) — and touches its RNG only
+//! when an arrival actually fires or a corrupted lane reaches a partial
+//! verification. At an attempt boundary where both countdowns clear the
+//! attempt, the error-free walk is deterministic and commits in one step;
+//! other lanes walk the precompiled activity program (see
+//! [`super::program`]) one activity per round. Three layers stack on top:
 //!
 //! 1. **Vector fast-path mask.** At every round, each 8-lane block asks
 //!    "which lanes sit at a clean attempt boundary with both countdowns
@@ -27,11 +37,11 @@
 //!    xoshiro256++ `jump()` — provably disjoint 2¹²⁸-draw segments, not
 //!    merely reseeded — with initial countdowns drawn through the
 //!    vectorized exponential sampler (uniforms for all lanes, then the
-//!    `ln()` pass). Slow-path lanes draw individually, exactly like batch.
+//!    `ln()` pass). Slow-path lanes draw individually from their own lane.
 //!
 //! Emission order is rounds over blocks over lanes, drained replications
 //! inline — a pure function of the stream state, as [`Engine`] requires.
-//! The backend promises statistical equivalence to `event`/`batch` (pinned
+//! The backend promises statistical equivalence to `event` (pinned
 //! by `tests/backends.rs` over all six named scenarios) plus bit-stable
 //! self-determinism for a fixed `(seed, lanes)` on **any** machine, AVX2 or
 //! not.
@@ -182,8 +192,7 @@ impl Default for SimdEngine {
 impl SimdEngine {
     /// Whether the explicit AVX2 mask path can run on this host. The
     /// backend itself runs anywhere (the scalar fallback is bit-identical);
-    /// this gate only decides which mask kernel executes — and whether
-    /// [`Backend::Auto`](super::Backend::Auto) prefers `simd` over `batch`.
+    /// this gate only decides which mask kernel executes.
     pub fn runtime_supported() -> bool {
         #[cfg(target_arch = "x86_64")]
         {
@@ -344,9 +353,8 @@ fn fast_commit(
     }
 }
 
-/// Slow path for lane `l`: one activity transition through the shared
-/// stepper (`program::step_lane`), so the batch and SIMD backends cannot
-/// drift apart distributionally.
+/// Slow path for lane `l`: one activity transition through
+/// `program::step_lane`.
 fn slow_step(
     blk: &mut Block,
     l: usize,

@@ -66,9 +66,8 @@ pub struct SimSettings {
     /// results do not depend on worker assignment.
     pub seed: u64,
     /// Simulation backend applied to every cell ([`Backend::Auto`] resolves
-    /// against the per-cell replication count — and, above the threshold,
-    /// the host's SIMD feature check — so all cells of a sweep resolve
-    /// alike).
+    /// against the per-cell replication count, so all cells of a sweep
+    /// resolve alike).
     pub backend: Backend,
 }
 
@@ -644,28 +643,6 @@ mod tests {
         assert!(a
             .iter()
             .all(|r| r.report.as_ref().unwrap().overhead.count == 40));
-    }
-
-    #[test]
-    #[cfg_attr(
-        miri,
-        ignore = "Monte-Carlo volume: minutes-to-hours under Miri's interpreter"
-    )]
-    fn batch_backend_shards_reproducibly_too() {
-        let spec = small_spec();
-        let sim = Some(SimSettings {
-            replications: 50,
-            threads_per_cell: 1,
-            seed: 3,
-            backend: Backend::Batch,
-        });
-        let exec = SweepExecutor::new(5);
-        let sharded = exec.run(&spec, sim);
-        let serial = exec.run_serial(&spec, sim);
-        assert_eq!(sharded, serial, "batch cells must not depend on sharding");
-        assert!(sharded
-            .iter()
-            .all(|r| r.report.as_ref().unwrap().overhead.count == 50));
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //!   streams);
 //! * [`engine`] — swappable simulation backends behind the [`Engine`]
 //!   trait: the discrete-event reference ([`EventEngine`], bit-stable and
-//!   golden-pinned), the batched structure-of-arrays [`BatchEngine`], and
-//!   the wide-SIMD [`SimdEngine`] (AVX2 fast-path mask with bit-identical
-//!   scalar fallback), selected through [`Backend`]
-//!   (`event`/`batch`/`simd`/`auto`);
+//!   golden-pinned) and the wide-SIMD [`SimdEngine`] (AVX2 fast-path mask
+//!   with bit-identical scalar fallback), selected through [`Backend`]
+//!   (`event`/`simd`/`auto`);
 //! * [`runner`] — multi-threaded replication runner merging per-thread
 //!   [`stats::OnlineStats`] into [`stats::Summary`] confidence intervals,
 //!   with an optional completion-time [`stats::Histogram`];
@@ -35,7 +34,7 @@ pub mod rng;
 pub mod runner;
 
 pub use engine::{
-    execute_pattern, Backend, BatchEngine, Engine, EventEngine, Execution, SimdEngine, LANE_WIDTH,
+    execute_pattern, Backend, Engine, EventEngine, Execution, SimdEngine, LANE_WIDTH,
 };
 pub use executor::{cell_seed, CellResult, SimSettings, SweepExecutor};
 pub use rng::{exp_inverse_cdf, LaneRng, Rng};

@@ -4,7 +4,7 @@
 //! `stats` crate's accumulators were designed for.
 //!
 //! The runner is backend-agnostic: [`RunConfig::backend`] picks the
-//! simulation [`Engine`] (event, batch, or auto by replication count), and
+//! simulation [`Engine`] (event, simd, or auto by replication count), and
 //! every stream hands its replications to that engine in one
 //! [`Engine::execute_stream`] call. Stream partitioning, seeding and merge
 //! order are identical across backends, so switching backends changes only
@@ -66,7 +66,7 @@ pub struct RunConfig {
     /// any machine.
     pub seed: u64,
     /// Simulation engine backend ([`Backend::Auto`] resolves against
-    /// `replications` and, for large runs, the host's SIMD feature check).
+    /// `replications` alone).
     /// Defaults to [`Backend::Event`], the bit-stable reference.
     pub backend: Backend,
     /// When set, the report carries a completion-time histogram of this
@@ -217,10 +217,10 @@ impl ThreadAcc {
     }
 
     /// Folds a group of `n` identical replications in. `n == 1` routes
-    /// through [`push`](Self::push) so backends that emit singles (event,
-    /// batch — including everything bit-pinned by goldens) keep their exact
-    /// accumulation arithmetic; larger groups (the SIMD drain) fold in O(1)
-    /// through the Welford merge form.
+    /// through [`push`](Self::push) so single emissions (every event
+    /// replication, which the goldens bit-pin, and every simd commit outside
+    /// a drain) keep their exact accumulation arithmetic; larger groups (the
+    /// SIMD drain) fold in O(1) through the Welford merge form.
     fn push_group(&mut self, e: &Execution, n: u64, work: f64) {
         if n == 1 {
             self.push(e, work);
@@ -539,41 +539,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        miri,
-        ignore = "Monte-Carlo volume: minutes-to-hours under Miri's interpreter"
-    )]
-    fn batch_backend_is_deterministic_and_statistically_consistent() {
-        let (p, c, pat) = setup();
-        let batch_cfg = RunConfig {
-            replications: 4000,
-            threads: 4,
-            seed: 13,
-            backend: Backend::Batch,
-            ..Default::default()
-        };
-        let a = run_replications(&pat, &p, &c, &batch_cfg);
-        let b = run_replications(&pat, &p, &c, &batch_cfg);
-        assert_eq!(a, b, "batch backend must reproduce at a fixed seed");
-        assert_eq!(a.overhead.count, 4000);
-
-        let event = run_replications(
-            &pat,
-            &p,
-            &c,
-            &RunConfig {
-                backend: Backend::Event,
-                ..batch_cfg
-            },
-        );
-        let gap = (a.overhead.mean - event.overhead.mean).abs();
-        assert!(
-            gap <= a.overhead.ci95 + event.overhead.ci95,
-            "backends disagree: gap {gap}"
-        );
-    }
-
-    #[test]
     fn auto_backend_matches_its_resolution() {
         let (p, c, pat) = setup();
         // Below the threshold Auto is exactly Event, bit for bit.
@@ -584,7 +549,7 @@ mod tests {
             backend: Backend::Auto,
             ..Default::default()
         };
-        assert!(cfg.replications < Backend::AUTO_BATCH_THRESHOLD);
+        assert!(cfg.replications < Backend::AUTO_SIMD_THRESHOLD);
         let auto = run_replications(&pat, &p, &c, &cfg);
         let event = run_replications(
             &pat,
@@ -601,7 +566,7 @@ mod tests {
     #[test]
     fn time_histogram_sees_every_replication() {
         let (p, c, pat) = setup();
-        for backend in [Backend::Event, Backend::Batch] {
+        for backend in [Backend::Event, Backend::Simd] {
             let r = run_replications(
                 &pat,
                 &p,

@@ -3,9 +3,9 @@
 //!
 //! Two pins:
 //!
-//! * **Equivalence** — at fixed seeds, every pair drawn from the event,
-//!   batch and SIMD backends must agree within overlapping 99% confidence
-//!   intervals on mean completion time, mean fail-stop events and mean
+//! * **Equivalence** — at fixed seeds, the event and SIMD backends must
+//!   agree within overlapping 99% confidence intervals on mean completion
+//!   time, mean fail-stop events and mean
 //!   silent errors per replication, for all six named scenarios (the three
 //!   reference scenarios and the three gentler validation scenarios).
 //! * **Regression** — the event backend's outputs are bit-pinned against
@@ -20,9 +20,7 @@
 #![cfg(not(miri))]
 
 use resilience::{reference_scenarios, validation_scenarios, Scenario, Theorem};
-use sim::{
-    run_replications, Backend, BatchEngine, Engine, EventEngine, Rng, RunConfig, SimdEngine,
-};
+use sim::{run_replications, Backend, Engine, EventEngine, Rng, RunConfig, SimdEngine};
 use stats::OnlineStats;
 
 /// All six named scenarios: hera, atlas, petascale, hera-lite, atlas
@@ -74,33 +72,25 @@ fn backends_agree_within_ci99_on_all_six_scenarios() {
     const REPS: u64 = 6_000;
     for scenario in six_scenarios() {
         let event = sample(&EventEngine, &scenario, REPS, 0xacc0_4d5e);
-        let batch = sample(&BatchEngine::default(), &scenario, REPS, 0xacc0_4d5e);
         let simd = sample(&SimdEngine::default(), &scenario, REPS, 0xacc0_4d5e);
-        for (pair, a, b) in [
-            ("event-vs-batch", &event, &batch),
-            ("event-vs-simd", &event, &simd),
-            ("batch-vs-simd", &batch, &simd),
+        for (label, x, y) in [
+            ("time", &event.time, &simd.time),
+            ("fail-stop", &event.fail_stop, &simd.fail_stop),
+            ("silent", &event.silent, &simd.silent),
         ] {
-            for (label, x, y) in [
-                ("time", &a.time, &b.time),
-                ("fail-stop", &a.fail_stop, &b.fail_stop),
-                ("silent", &a.silent, &b.silent),
-            ] {
-                assert!(
-                    ci99_overlap(x, y),
-                    "{}/{pair}/{label}: {:.6}±{:.6} vs {:.6}±{:.6}",
-                    scenario.name,
-                    x.mean(),
-                    2.576 * x.std_err(),
-                    y.mean(),
-                    2.576 * y.std_err()
-                );
-            }
+            assert!(
+                ci99_overlap(x, y),
+                "{}/event-vs-simd/{label}: {:.6}±{:.6} vs {:.6}±{:.6}",
+                scenario.name,
+                x.mean(),
+                2.576 * x.std_err(),
+                y.mean(),
+                2.576 * y.std_err()
+            );
         }
-        // All backends must agree the error mix is physical: a corruption
+        // Both backends must agree the error mix is physical: a corruption
         // can be wiped by a crash but never the other way around.
-        assert!(event.silent.mean() >= 0.0 && batch.silent.mean() >= 0.0);
-        assert!(simd.silent.mean() >= 0.0);
+        assert!(event.silent.mean() >= 0.0 && simd.silent.mean() >= 0.0);
     }
 }
 
@@ -118,23 +108,23 @@ fn backends_agree_through_the_runner_too() {
             time_hist: None,
         };
         let event = run_replications(&optimum.pattern, &scenario.platform, &scenario.costs, &cfg);
-        for backend in [Backend::Batch, Backend::Simd] {
-            let other = run_replications(
-                &optimum.pattern,
-                &scenario.platform,
-                &scenario.costs,
-                &RunConfig { backend, ..cfg },
-            );
-            let gap = (event.overhead.mean - other.overhead.mean).abs();
-            // ci95 ≈ 1.96·se, so 1.315·(ci95_a + ci95_b) is the 99% overlap.
-            let budget = 1.315 * (event.overhead.ci95 + other.overhead.ci95);
-            assert!(
-                gap <= budget,
-                "{}: event vs {} overhead gap {gap} exceeds {budget}",
-                scenario.name,
-                backend.label()
-            );
-        }
+        let simd = run_replications(
+            &optimum.pattern,
+            &scenario.platform,
+            &scenario.costs,
+            &RunConfig {
+                backend: Backend::Simd,
+                ..cfg
+            },
+        );
+        let gap = (event.overhead.mean - simd.overhead.mean).abs();
+        // ci95 ≈ 1.96·se, so 1.315·(ci95_a + ci95_b) is the 99% overlap.
+        let budget = 1.315 * (event.overhead.ci95 + simd.overhead.ci95);
+        assert!(
+            gap <= budget,
+            "{}: event vs simd overhead gap {gap} exceeds {budget}",
+            scenario.name
+        );
     }
 }
 

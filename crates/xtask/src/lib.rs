@@ -7,7 +7,7 @@
 //! language rules:
 //!
 //! * **unsafe stays audited and quarantined** — every `unsafe` needs an
-//!   adjacent `// SAFETY:` justification, and only the two SIMD modules may
+//!   adjacent `// SAFETY:` justification, and only the SIMD engine may
 //!   contain `unsafe` at all ([`lints::UNSAFE_ALLOWLIST`]);
 //! * **SIMD paths stay pinned** — every `#[target_feature]` kernel must have
 //!   a same-file `*_scalar` twin and a test referencing both by name, so a
@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 /// fixtures, and README documentation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Lint {
-    /// `unsafe` outside the allowlisted SIMD modules.
+    /// `unsafe` outside the allowlisted SIMD engine.
     UnsafeAllowlist,
     /// `unsafe` without an adjacent `// SAFETY:` / `# Safety` justification.
     SafetyComment,

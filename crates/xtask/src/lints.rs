@@ -5,14 +5,10 @@
 use crate::lexer::{has_word, word_positions};
 use crate::{Finding, Lint, SourceFile, Workspace};
 
-/// The only files allowed to contain `unsafe`: the two SIMD modules whose
-/// intrinsic paths are pinned bit-identical to scalar fallbacks. Growing
-/// this list is a deliberate, reviewed act (see README "Correctness
-/// tooling").
-pub const UNSAFE_ALLOWLIST: &[&str] = &[
-    "crates/sim/src/engine/simd.rs",
-    "crates/resilience/src/overhead_simd.rs",
-];
+/// The only file allowed to contain `unsafe`: the SIMD engine, whose AVX2
+/// fast-path mask is pinned bit-identical to its scalar twin. Growing this
+/// list is a deliberate, reviewed act (see README "Correctness tooling").
+pub const UNSAFE_ALLOWLIST: &[&str] = &["crates/sim/src/engine/simd.rs"];
 
 /// Crates whose outputs are byte-pinned (goldens, shard concatenation,
 /// cross-backend equivalence): wall-clock, ambient entropy, ambient-seeded
@@ -38,10 +34,9 @@ pub const THREAD_ALLOWLIST: &[&str] = &[
 ];
 
 /// Required crate-root attributes: `(crate, root file, attribute)`.
-/// `numerics`/`stats`/`resilience-cli`/`resilience-service`/`xtask` must be
-/// `unsafe`-free at the compiler level; `sim`/`resilience` carry `unsafe`
-/// SIMD modules and must make every unsafe operation explicit inside
-/// `unsafe fn` bodies.
+/// Every library and CLI crate root but `sim`'s must be `unsafe`-free at the
+/// compiler level; `sim` carries the allowlisted SIMD engine and must make
+/// every unsafe operation explicit inside `unsafe fn` bodies.
 pub const REQUIRED_CRATE_ATTRS: &[(&str, &str, &str)] = &[
     (
         "numerics",
@@ -71,7 +66,7 @@ pub const REQUIRED_CRATE_ATTRS: &[(&str, &str, &str)] = &[
     (
         "resilience",
         "crates/resilience/src/lib.rs",
-        "#![deny(unsafe_op_in_unsafe_fn)]",
+        "#![forbid(unsafe_code)]",
     ),
     (
         "resilience-service",
@@ -135,7 +130,7 @@ fn unsafe_lints(file: &SourceFile, out: &mut Vec<Finding>) {
                 i,
                 Lint::UnsafeAllowlist,
                 format!(
-                    "`unsafe` is only permitted in the audited SIMD modules ({}); \
+                    "`unsafe` is only permitted in the audited SIMD engine ({}); \
                      move the intrinsic code there or extend the allowlist in \
                      crates/xtask/src/lints.rs with a review",
                     UNSAFE_ALLOWLIST.join(", ")

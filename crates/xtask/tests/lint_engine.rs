@@ -1,6 +1,6 @@
 //! Fixture-based pins for every `xtask lint` check, plus the two gates the
 //! CI step actually rests on: the live workspace lints clean, and deleting a
-//! single SAFETY comment from a real SIMD module trips `safety-comment` with
+//! single SAFETY comment from the real SIMD engine trips `safety-comment` with
 //! a usable `file:line` diagnostic.
 //!
 //! Fixture sources live in `tests/fixtures/{fail,pass}/` (excluded from
@@ -31,19 +31,26 @@ fn expect_single(pretend_path: &str, source: &str, lint: Lint, line: usize) -> F
 
 #[test]
 fn unsafe_outside_the_allowlist_is_rejected_even_with_safety_comment() {
-    let f = expect_single(
+    // The second path is the deleted Theorem-4 kernel module: re-adding
+    // unsafe code there must fail the lint like anywhere else.
+    for path in [
         "crates/numerics/src/fast.rs",
-        include_str!("fixtures/fail/unsafe_allowlist.rs"),
-        Lint::UnsafeAllowlist,
-        3,
-    );
-    assert!(f.message.contains("allowlist"), "{}", f.message);
+        "crates/resilience/src/overhead_simd.rs",
+    ] {
+        let f = expect_single(
+            path,
+            include_str!("fixtures/fail/unsafe_allowlist.rs"),
+            Lint::UnsafeAllowlist,
+            3,
+        );
+        assert!(f.message.contains("allowlist"), "{}", f.message);
+    }
 }
 
 #[test]
 fn unjustified_unsafe_in_an_allowlisted_module_needs_a_safety_comment() {
     expect_single(
-        "crates/resilience/src/overhead_simd.rs",
+        "crates/sim/src/engine/simd.rs",
         include_str!("fixtures/fail/safety_comment.rs"),
         Lint::SafetyComment,
         2,
@@ -53,7 +60,7 @@ fn unjustified_unsafe_in_an_allowlisted_module_needs_a_safety_comment() {
 #[test]
 fn target_feature_without_scalar_twin_is_rejected() {
     let f = expect_single(
-        "crates/resilience/src/overhead_simd.rs",
+        "crates/sim/src/engine/simd.rs",
         include_str!("fixtures/fail/simd_parity_twin.rs"),
         Lint::SimdParityTwin,
         4,
@@ -64,7 +71,7 @@ fn target_feature_without_scalar_twin_is_rejected() {
 #[test]
 fn target_feature_outside_the_avx2_naming_convention_is_rejected() {
     let f = expect_single(
-        "crates/resilience/src/overhead_simd.rs",
+        "crates/sim/src/engine/simd.rs",
         include_str!("fixtures/fail/simd_parity_naming.rs"),
         Lint::SimdParityTwin,
         4,
@@ -75,7 +82,7 @@ fn target_feature_outside_the_avx2_naming_convention_is_rejected() {
 #[test]
 fn twin_pair_without_a_test_naming_both_is_rejected() {
     let f = expect_single(
-        "crates/resilience/src/overhead_simd.rs",
+        "crates/sim/src/engine/simd.rs",
         include_str!("fixtures/fail/simd_parity_test.rs"),
         Lint::SimdParityTest,
         4,
@@ -242,7 +249,7 @@ fn blessed_float_comparisons_lint_clean() {
 #[test]
 fn fully_justified_simd_module_lints_clean() {
     let findings = lint_fixture(
-        "crates/resilience/src/overhead_simd.rs",
+        "crates/sim/src/engine/simd.rs",
         include_str!("fixtures/pass/clean_simd.rs"),
     );
     assert!(findings.is_empty(), "{findings:#?}");
