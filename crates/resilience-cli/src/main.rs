@@ -8,7 +8,6 @@
 //!                [--bench-out PATH] [--guard] [--sweep-only] [--port P]
 //!                [--workers W] [--units U] [--deadline-ms D]
 //!                [--backoff-ms B] [--max-respawns R] [--fault-plan PLAN]
-//!                [--cache-in FILE] [--cache-out FILE] [--optimum-server ADDR]
 //! ```
 //!
 //! * `sweep`  — the three reference scenarios × Theorems 1–4 (default);
@@ -44,14 +43,6 @@
 //! Each flag belongs to specific subcommands; giving one where it cannot
 //! apply is an error naming the flag, never a silent no-op.
 //!
-//! The optimum store is a shareable artifact: `--cache-out FILE` snapshots
-//! a sweep's memoized optima (sorted, FNV-64-sealed, bit-exact keys) and
-//! `--cache-in FILE` seeds a later sweep from one — same bytes out, zero
-//! derivations for covered keys. `orchestrate` takes no snapshot: each
-//! worker derives only its own unit's optima, exactly as `grid --shard`
-//! would. `--optimum-server ADDR` instead resolves misses live against a
-//! running `serve --port` daemon, one query per cache miss.
-//!
 //! Every sweep command expands a `SweepSpec` and shards its cells over
 //! `--threads` workers; results stream back in deterministic cell order, so
 //! output at a fixed seed is byte-identical to the serial loop. `--shard
@@ -61,9 +52,9 @@
 //! cross-process counterpart of the in-process worker pool. `--engine`
 //! picks the per-cell simulation backend (`auto`, the default, switches from
 //! `event` to `simd` at `Backend::AUTO_SIMD_THRESHOLD` replications per
-//! cell, on every host). Optimizer
-//! queries go through the shared memoized cache, whose hit/miss totals are
-//! reported on stderr. Overheads are percentages; checkpoint and recovery
+//! cell, on every host). Every cell derives its optimum directly from the
+//! closed forms — no cache, nothing shared between cells, workers or
+//! processes. Overheads are percentages; checkpoint and recovery
 //! frequencies use the paper's per-hour / per-day units.
 
 // The CLI only orchestrates library calls; all unsafe lives in the
@@ -73,23 +64,19 @@
 mod rows;
 
 use resilience::{
-    grid_spec, parse_snapshot, reference_scenarios, snapshot_string, validation_scenarios,
-    CostModel, OptimumCache, Platform, Scenario, SweepSpec, Theorem, GRID_AXIS_LEN,
+    grid_spec, reference_scenarios, validation_scenarios, CostModel, Platform, Scenario, SweepSpec,
+    Theorem, GRID_AXIS_LEN,
 };
-use resilience_coord::{
-    unit_range, CoordConfig, FallbackUnit, FaultInjector, FaultPlan, TrailerWriter, WorkerFault,
-};
+use resilience_coord::{CoordConfig, FaultInjector, FaultPlan, TrailerWriter, WorkerFault};
 use resilience_service::protocol::{ShardTrailer, WorkerEvent};
-use resilience_service::OptimumClient;
 use rows::{render_row, table_format};
 use serde::Serialize;
-use sim::executor::{OptimumResolver, SimSettings, SweepExecutor};
+use sim::executor::{SimSettings, SweepExecutor};
 use sim::runner::thread_cap;
 use sim::{Backend, SimdEngine};
 use stats::rates::YEAR;
 use stats::table::{Align, TableFormat};
 use std::io::Write;
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const DEFAULT_REPS: u64 = 4_000;
@@ -107,14 +94,14 @@ const GRID_SIM_MAX: usize = 10;
 /// engine's headline throughput, on every host, AVX2 or not.
 const MIN_SIMD_OVER_EVENT: f64 = 3.9;
 /// Sweep-throughput guard floors: analytic cells/sec the threaded 100³
-/// grid must sustain. On a multicore host the partitioned analytic loop
+/// grid must sustain. On a multicore host the chunked analytic loop
 /// must clear 2M cells/s — a real scaling bar, though still well
 /// under what it measures on dedicated hardware, so noisy CI neighbors
 /// don't decide the build. Single-core hosts (where "threaded" time-slices
 /// one core) keep the original structural floor, which only trips when
 /// per-cell allocation, dispatch overhead, or lock contention creeps back
 /// in. Threaded losing to serial on a multicore host is a hard failure:
-/// with static partitions and per-worker batches there is no remaining
+/// with chunked claims and per-chunk batches there is no remaining
 /// excuse for parallelism costing throughput.
 const MIN_SWEEP_CELLS_PER_SEC: f64 = 50_000.0;
 const MIN_SWEEP_CELLS_PER_SEC_MULTICORE: f64 = 2_000_000.0;
@@ -161,16 +148,6 @@ struct Args {
     /// `orchestrate --fault-plan PLAN`: injected worker faults
     /// (see `resilience-coord`'s plan grammar); empty = none.
     fault_plan: String,
-    /// Sweep commands: seed the optimum cache from a snapshot file before
-    /// sweeping.
-    cache_in: Option<String>,
-    /// Sweep commands: write the optimum cache as a snapshot file after
-    /// the sweep — the producer side of `--cache-in`.
-    cache_out: Option<String>,
-    /// Sweep commands: resolve cache misses through a running `serve
-    /// --port` daemon at this `HOST:PORT` instead of deriving locally —
-    /// the live-share worker mode.
-    optimum_server: Option<String>,
 }
 
 /// Orchestrate defaults, shared with the help text.
@@ -204,9 +181,6 @@ fn parse_args() -> Args {
         backoff_ms: DEFAULT_BACKOFF_MS,
         max_respawns: DEFAULT_MAX_RESPAWNS,
         fault_plan: String::new(),
-        cache_in: None,
-        cache_out: None,
-        optimum_server: None,
     };
     // Which flags actually appeared, so `validate` can reject any that do
     // not apply to the chosen subcommand (defaults never trip the check).
@@ -297,18 +271,6 @@ fn parse_args() -> Args {
                 seen.push("--fault-plan");
                 args.fault_plan = take_value(&argv, &mut i);
             }
-            "--cache-in" => {
-                seen.push("--cache-in");
-                args.cache_in = Some(take_value(&argv, &mut i));
-            }
-            "--cache-out" => {
-                seen.push("--cache-out");
-                args.cache_out = Some(take_value(&argv, &mut i));
-            }
-            "--optimum-server" => {
-                seen.push("--optimum-server");
-                args.optimum_server = Some(take_value(&argv, &mut i));
-            }
             "--help" | "-h" => {
                 // Through out(), not println!: `--help | head` must exit
                 // quietly instead of panicking on the closed pipe.
@@ -319,7 +281,6 @@ fn parse_args() -> Args {
                      \x20                     [--bench-out PATH] [--guard] [--sweep-only] [--port P]\n\
                      \x20                     [--workers W] [--units U] [--deadline-ms D]\n\
                      \x20                     [--backoff-ms B] [--max-respawns R] [--fault-plan PLAN]\n\
-                     \x20                     [--cache-in FILE] [--cache-out FILE] [--optimum-server ADDR]\n\
                      \n\
                      \x20 sweep    reference scenarios x theorems 1-4 (default)\n\
                      \x20 nodes    node-count sweep, theorem 4\n\
@@ -344,7 +305,7 @@ fn parse_args() -> Args {
                      \x20                grid: only up to --grid-size {GRID_SIM_MAX})\n\
                      \x20 --threads N    sweep worker threads (clamped to 4x machine parallelism;\n\
                      \x20                analytic sweeps clamp to the parallelism itself — extra\n\
-                     \x20                workers only duplicate optimizer work; 1 takes the inline\n\
+                     \x20                workers only time-slice the same cores; 1 takes the inline\n\
                      \x20                serial path with no pool; a stderr note reports the\n\
                      \x20                effective count when clamped)\n\
                      \x20 --seed S       base seed; per-cell streams derive from it\n\
@@ -384,16 +345,7 @@ fn parse_args() -> Args {
                      \x20                degrades to in-process execution (default {DEFAULT_MAX_RESPAWNS})\n\
                      \x20 --fault-plan PLAN  orchestrate only: inject worker faults, ;-joined\n\
                      \x20                kill:U:K / stall:U:L:MS / corrupt:U:L entries (U = unit\n\
-                     \x20                index; ! after the keyword re-arms on every spawn)\n\
-                     \x20 --cache-in FILE  sweep commands: seed the optimum cache from a snapshot\n\
-                     \x20                file before sweeping — covered keys cost a hash lookup,\n\
-                     \x20                never a derivation, and output bytes are unchanged\n\
-                     \x20 --cache-out FILE  sweep commands: write the optimum cache as a snapshot\n\
-                     \x20                file (sorted, FNV-64-sealed, bit-exact keys) after the\n\
-                     \x20                sweep — what --cache-in consumes\n\
-                     \x20 --optimum-server ADDR  sweep commands: resolve cache misses through a\n\
-                     \x20                running serve --port daemon at HOST:PORT (one query per\n\
-                     \x20                miss) instead of deriving locally",
+                     \x20                index; ! after the keyword re-arms on every spawn)",
                     auto_simd = Backend::AUTO_SIMD_THRESHOLD,
                 ));
                 std::process::exit(0);
@@ -425,13 +377,6 @@ fn flag_misuse(command: &str, reps: Option<u64>, flag: &str) -> Option<String> {
         "--trailer" if !SWEEP_COMMANDS.contains(&command) => Some(format!(
             "--trailer applies to sweep commands, not {command} (orchestrate's workers \
              emit it themselves)"
-        )),
-        "--cache-in" | "--cache-out" if !SWEEP_COMMANDS.contains(&command) => {
-            Some(format!("{flag} applies to sweep commands, not {command}"))
-        }
-        "--optimum-server" if !SWEEP_COMMANDS.contains(&command) => Some(format!(
-            "--optimum-server applies to sweep commands (the live-share worker side), \
-             not {command}"
         )),
         "--workers" | "--units" | "--deadline-ms" | "--backoff-ms" | "--max-respawns"
         | "--fault-plan"
@@ -693,17 +638,12 @@ fn print_table(
     };
     if args.trailer {
         let (i, n) = args.shard.unwrap_or((0, 1));
-        // The shard's own cache economics ride along with the checksum, so
-        // the coordinator can total hits/misses without re-parsing stderr.
-        let cache = executor.cache().stats();
         let trailer = ShardTrailer {
             shard: format!("{i}/{n}"),
             cells,
             lines,
             bytes,
             fnv64,
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
         };
         eprintln!("{}", WorkerEvent::Trailer(trailer).to_json_string());
     }
@@ -741,10 +681,9 @@ fn time_engine(
 /// floors downstream, a single unlucky measurement would fail the build.
 const BENCH_PASSES: u32 = 3;
 
-/// Times one analytic-only pass over `spec` with `threads` workers. A
-/// fresh executor (and cache) per pass, so serial and threaded runs face
-/// identical cold-cache work; results are consumed through `black_box` so
-/// the optimizer cannot elide cell evaluation.
+/// Times one analytic-only pass over `spec` with `threads` workers;
+/// results are consumed through `black_box` so the optimizer cannot elide
+/// cell evaluation.
 fn time_sweep(spec: &SweepSpec, threads: usize) -> f64 {
     let exec = SweepExecutor::new(threads);
     let mut cells = 0usize;
@@ -791,11 +730,10 @@ impl SweepBench {
 /// Worker threads for an *analytic* sweep: the request clamped to the
 /// host's parallelism. Analytic workers are uniformly loaded and purely
 /// CPU-bound, so oversubscribing cores cannot help — it only adds context
-/// switching and duplicate optimizer work on shared cache misses (the
-/// 4× [`thread_cap`] oversubscription headroom exists for *simulated*
-/// sweeps, whose cells have uneven costs worth stealing around). On a
-/// single-core host this resolves to 1, which runs the executor's one
-/// partition inline — no pool at all.
+/// switching (the 4× [`thread_cap`] oversubscription headroom exists for
+/// *simulated* sweeps, whose cells have uneven costs worth spreading
+/// around). On a single-core host this resolves to 1, which runs every
+/// cell on the calling thread — no pool at all.
 fn analytic_threads(requested: usize) -> usize {
     requested.min(host_parallelism()).max(1)
 }
@@ -853,105 +791,6 @@ fn bench_sweeps(args: &Args) -> Vec<SweepBench> {
     sweeps
 }
 
-/// The warm-vs-cold shard measurement: the same 4-shard slice of the 10³
-/// grid swept serially with cold caches vs caches seeded from one
-/// full-grid snapshot (what `--cache-in` does per process).
-struct ShardBench {
-    shards: usize,
-    cells: usize,
-    cold_secs: f64,
-    warm_secs: f64,
-    cold_misses: u64,
-    warm_misses: u64,
-}
-
-impl ShardBench {
-    fn speedup(&self) -> f64 {
-        self.cold_secs / self.warm_secs
-    }
-}
-
-/// Measures [`ShardBench`]: each pass runs all shards serially, one fresh
-/// executor per shard (cold: empty cache; warm: seeded with the entries a
-/// cold full-grid sweep leaves in its cache, which is what `--cache-out`
-/// writes — seeding time is charged to the warm pass, because a real
-/// warmed shard pays it too). Misses are identical across passes; the
-/// timings take the best of [`BENCH_PASSES`].
-fn bench_warm_vs_cold() -> ShardBench {
-    let spec = grid_spec(GRID_SIM_MAX);
-    let full = SweepExecutor::new(1);
-    full.run_streaming_range(&spec, 0..spec.len(), None, |r| {
-        std::hint::black_box(&r);
-    });
-    let entries = full.cache().snapshot_entries();
-    let shards = 4;
-    let pass = |warm: bool| -> (f64, u64) {
-        let mut misses = 0;
-        let start = std::time::Instant::now();
-        for shard in 0..shards {
-            let cache = Arc::new(OptimumCache::new());
-            if warm {
-                cache.seed(entries.iter().cloned());
-            }
-            let exec = SweepExecutor::with_cache(1, cache);
-            exec.run_streaming_range(&spec, unit_range(spec.len(), shard, shards), None, |r| {
-                std::hint::black_box(&r);
-            });
-            misses += exec.cache().stats().misses;
-        }
-        (start.elapsed().as_secs_f64().max(1e-9), misses)
-    };
-    let best = |warm: bool| {
-        (0..BENCH_PASSES)
-            .map(|_| pass(warm))
-            .fold((f64::INFINITY, 0), |(s, _), (secs, misses)| {
-                (s.min(secs), misses)
-            })
-    };
-    let (cold_secs, cold_misses) = best(false);
-    let (warm_secs, warm_misses) = best(true);
-    ShardBench {
-        shards,
-        cells: spec.len(),
-        cold_secs,
-        warm_secs,
-        cold_misses,
-        warm_misses,
-    }
-}
-
-/// JSON fragment for the `shard_warm_vs_cold` object.
-fn shard_json(s: &ShardBench) -> String {
-    format!(
-        "{{\n    \"grid\": \"grid-10^3\",\n    \"shards\": {},\n    \"cells\": {},\n    \"cold_seconds\": {:.6},\n    \"cold_cells_per_sec\": {:.0},\n    \"cold_misses\": {},\n    \"warm_seconds\": {:.6},\n    \"warm_cells_per_sec\": {:.0},\n    \"warm_misses\": {},\n    \"speedup_warm_over_cold\": {:.2}\n  }}",
-        s.shards,
-        s.cells,
-        s.cold_secs,
-        s.cells as f64 / s.cold_secs,
-        s.cold_misses,
-        s.warm_secs,
-        s.cells as f64 / s.warm_secs,
-        s.warm_misses,
-        s.speedup(),
-    )
-}
-
-/// Warm-shard guard: a warmed shard missing a covered key means the
-/// snapshot path silently stopped warming — a correctness regression in
-/// the shared store, not a timing matter, so it hard-fails regardless of
-/// how fast the run was.
-fn guard_warm_shards(shard: &ShardBench) -> bool {
-    if shard.warm_misses > 0 {
-        println!(
-            "::error title=warm shard regression::warmed shards derived {} optima that the \
-             snapshot already covered (must be 0)",
-            shard.warm_misses
-        );
-        return true;
-    }
-    false
-}
-
 /// JSON fragments for the `sweep_throughput` array, one per grid.
 fn sweep_json_entries(sweeps: &[SweepBench]) -> Vec<String> {
     sweeps
@@ -978,15 +817,13 @@ fn sweep_json_entries(sweeps: &[SweepBench]) -> Vec<String> {
 /// guard floors) without paying for the engine matrix.
 fn run_sweep_bench_only(args: &Args) {
     let sweeps = bench_sweeps(args);
-    let shard = bench_warm_vs_cold();
     let json = format!(
-        "{{\n  \"benchmark\": \"analytic sweep throughput\",\n  \"seed\": {},\n  \"threads\": {},\n  \"available_parallelism\": {},\n  \"simd_supported\": {},\n  \"sweep_throughput\": [\n{}\n  ],\n  \"shard_warm_vs_cold\": {}\n}}\n",
+        "{{\n  \"benchmark\": \"analytic sweep throughput\",\n  \"seed\": {},\n  \"threads\": {},\n  \"available_parallelism\": {},\n  \"simd_supported\": {},\n  \"sweep_throughput\": [\n{}\n  ]\n}}\n",
         args.seed,
         args.threads,
         host_parallelism(),
         SimdEngine::runtime_supported(),
         sweep_json_entries(&sweeps).join(",\n"),
-        shard_json(&shard),
     );
     if let Err(e) = std::fs::write(&args.bench_out, json) {
         die(&format!("cannot write {}: {e}", args.bench_out));
@@ -994,24 +831,18 @@ fn run_sweep_bench_only(args: &Args) {
     let big = sweeps.last().expect("at least one sweep bench");
     eprintln!(
         "bench --sweep-only: analytic {}: {:.0} cells/s threaded ({:.2}x serial, {} workers); \
-         warm shards {:.2}x cold ({} vs {} misses); wrote {}",
+         wrote {}",
         big.label,
         big.threaded_cells_per_sec(),
         big.speedup(),
         big.workers_used,
-        shard.speedup(),
-        shard.warm_misses,
-        shard.cold_misses,
         args.bench_out
     );
     if args.guard {
-        if guard_sweep(big) | guard_warm_shards(&shard) {
+        if guard_sweep(big) {
             std::process::exit(1);
         }
-        eprintln!(
-            "bench guard: sweep floors held ({}, warmed shards missed 0 covered keys)",
-            sweep_guard_note(big)
-        );
+        eprintln!("bench guard: sweep floors held ({})", sweep_guard_note(big));
     }
 }
 
@@ -1140,18 +971,17 @@ fn run_bench(args: &Args) {
     }
 
     // Sweep throughput: the analytic hot path (streaming expansion and
-    // the shared optimum cache, without rendering) at 10³ and 10⁶ cells,
-    // serial vs threaded.
+    // optimum derivation, without rendering) at 10³ and 10⁶ cells, serial
+    // vs threaded.
     let sweeps = bench_sweeps(args);
     let sweep_json = sweep_json_entries(&sweeps);
-    let shard = bench_warm_vs_cold();
 
     let engines_json: Vec<String> = headline
         .iter()
         .map(|&(b, secs)| engine_json(b, secs, reps, 4))
         .collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"single-cell {} {} optimum\",\n  \"replications\": {reps},\n  \"seed\": {},\n  \"threads\": 1,\n  \"available_parallelism\": {},\n  \"simd_supported\": {},\n  \"engines\": [\n{}\n  ],\n  \"speedup_simd_over_event\": {simd_over_event:.2},\n  \"matrix\": [\n{}\n  ],\n  \"sweep_throughput\": [\n{}\n  ],\n  \"shard_warm_vs_cold\": {}\n}}\n",
+        "{{\n  \"benchmark\": \"single-cell {} {} optimum\",\n  \"replications\": {reps},\n  \"seed\": {},\n  \"threads\": 1,\n  \"available_parallelism\": {},\n  \"simd_supported\": {},\n  \"engines\": [\n{}\n  ],\n  \"speedup_simd_over_event\": {simd_over_event:.2},\n  \"matrix\": [\n{}\n  ],\n  \"sweep_throughput\": [\n{}\n  ]\n}}\n",
         headline_scenario.name,
         Theorem::Four.label(),
         args.seed,
@@ -1160,7 +990,6 @@ fn run_bench(args: &Args) {
         engines_json.join(",\n"),
         matrix_json.join(",\n"),
         sweep_json.join(",\n"),
-        shard_json(&shard),
     );
     if let Err(e) = std::fs::write(&args.bench_out, json) {
         die(&format!("cannot write {}: {e}", args.bench_out));
@@ -1169,24 +998,23 @@ fn run_bench(args: &Args) {
     eprintln!(
         "bench: simd is {simd_over_event:.2}x event over \
          {reps} replications ({} engine-scenario matrix cells at {matrix_reps}); analytic \
-         {}: {:.0} cells/s threaded ({:.2}x serial); warm shards {:.2}x cold; wrote {}",
+         {}: {:.0} cells/s threaded ({:.2}x serial); wrote {}",
         BENCH_ENGINES.len() * scenarios.len(),
         big.label,
         big.threaded_cells_per_sec(),
         big.speedup(),
-        shard.speedup(),
         args.bench_out
     );
 
     if args.guard {
-        guard_speedups(simd_over_event, big, &shard);
+        guard_speedups(simd_over_event, big);
     }
 }
 
 /// `--guard`: fail loudly (GitHub error annotation + exit 1) when the
 /// headline speedup or the million-cell analytic sweep throughput regress
 /// below the hard floors.
-fn guard_speedups(simd_over_event: f64, sweep: &SweepBench, shard: &ShardBench) {
+fn guard_speedups(simd_over_event: f64, sweep: &SweepBench) {
     let mut failed = false;
     if simd_over_event < MIN_SIMD_OVER_EVENT {
         println!(
@@ -1196,13 +1024,11 @@ fn guard_speedups(simd_over_event: f64, sweep: &SweepBench, shard: &ShardBench) 
         failed = true;
     }
     failed |= guard_sweep(sweep);
-    failed |= guard_warm_shards(shard);
     if failed {
         std::process::exit(1);
     }
     eprintln!(
-        "bench guard: floors held (simd >= {MIN_SIMD_OVER_EVENT}x event, {}, \
-         warmed shards missed 0 covered keys)",
+        "bench guard: floors held (simd >= {MIN_SIMD_OVER_EVENT}x event, {})",
         sweep_guard_note(sweep)
     );
 }
@@ -1229,9 +1055,9 @@ fn sweep_floor(sweep: &SweepBench) -> f64 {
 
 /// Sweep-throughput floors for one grid; returns whether the build must
 /// fail. On a multicore host running threaded, threaded losing to serial
-/// is a hard failure: with static partitions and per-worker result
-/// batches, parallelism costing throughput is a structural regression,
-/// not runner noise.
+/// is a hard failure: with chunked claims and per-chunk result batches,
+/// parallelism costing throughput is a structural regression, not runner
+/// noise.
 fn guard_sweep(sweep: &SweepBench) -> bool {
     let mut failed = false;
     let floor = sweep_floor(sweep);
@@ -1286,12 +1112,8 @@ fn sweep_guard_note(sweep: &SweepBench) -> String {
 /// caught by trailer verification and re-executed, and a unit that
 /// exhausts `--max-respawns` renders in-process instead.
 ///
-/// Workers start cold and derive only their own unit's optima, so each
-/// unit's cache hits and misses are exactly those of the equivalent
-/// `grid --shard J/M --threads 1` run, and the merged totals are their sum
-/// over the units. The counters land on stderr: one line-delimited JSON
-/// `summary` event (what the chaos tests assert on), then a human-readable
-/// recap.
+/// The counters land on stderr: one line-delimited JSON `summary` event
+/// (what the chaos tests assert on), then a human-readable recap.
 fn run_orchestrate(args: &Args) {
     let plan = FaultPlan::parse(&args.fault_plan).unwrap_or_else(|e| die(&e));
     let program = std::env::current_exe()
@@ -1311,19 +1133,13 @@ fn run_orchestrate(args: &Args) {
         plan,
     };
     // The in-process degradation path renders through the exact table
-    // pipeline the workers use, on a fresh single-thread executor per
-    // unit, so a fallback unit merges byte-identically and reports the
-    // cache totals its `grid --shard` worker would have.
+    // pipeline the workers use, serially, so a fallback unit merges
+    // byte-identically.
     let mut fallback = |range: std::ops::Range<usize>, with_header: bool| {
-        let executor = SweepExecutor::new(1);
         let mut bytes = Vec::new();
+        let executor = SweepExecutor::new(1);
         render_table(&executor, &spec, range, None, 20, with_header, &mut bytes)?;
-        let cache = executor.cache().stats();
-        Ok(FallbackUnit {
-            bytes,
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-        })
+        Ok(bytes)
     };
     let stdout = std::io::stdout();
     let mut w = std::io::BufWriter::with_capacity(1 << 16, stdout.lock());
@@ -1338,8 +1154,7 @@ fn run_orchestrate(args: &Args) {
     eprintln!(
         "orchestrate: merged {} unit(s) / {} bytes via {} worker spawn(s): \
          {} fail-stop retries, {} verify failures, {} straggler reassignments, \
-         {} duplicates discarded, {} in-process fallbacks; optimum cache: \
-         {} hits, {} misses",
+         {} duplicates discarded, {} in-process fallbacks",
         report.units,
         report.merged_bytes,
         report.workers_spawned,
@@ -1348,8 +1163,6 @@ fn run_orchestrate(args: &Args) {
         report.straggler_reassignments,
         report.duplicates_discarded,
         report.inproc_fallbacks,
-        report.cache_hits,
-        report.cache_misses,
     );
 }
 
@@ -1423,35 +1236,7 @@ fn main() {
     } else {
         args.threads
     };
-    let executor = match &args.optimum_server {
-        // Live share: cache misses query the daemon (one query per miss)
-        // instead of deriving locally. The client sits behind a mutex
-        // because the resolver must be `Sync`.
-        Some(addr) => {
-            let client = OptimumClient::connect(addr)
-                .unwrap_or_else(|e| die(&format!("--optimum-server {addr}: cannot connect: {e}")));
-            let client = Mutex::new(client);
-            let resolver: OptimumResolver = Arc::new(move |cells| {
-                client
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .optima(cells)
-                    .unwrap_or_else(|e| die(&e))
-            });
-            SweepExecutor::with_resolver(worker_threads, Arc::new(OptimumCache::new()), resolver)
-        }
-        None => SweepExecutor::new(worker_threads),
-    };
-    // Warm start from a snapshot. Seeding is silent in the output —
-    // covered keys just stop costing derivations (and count as hits).
-    if let Some(path) = &args.cache_in {
-        let doc = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read cache snapshot {path}: {e}")));
-        let entries = parse_snapshot(&doc).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-        let warmed = entries.len();
-        executor.cache().seed(entries);
-        eprintln!("optimum cache: warmed with {warmed} entries from {path}");
-    }
+    let executor = SweepExecutor::new(worker_threads);
     // Say what will actually run whenever it differs from the request, so
     // `--threads 8` over a 4-cell shard (or a 2-core host) doesn't silently
     // read as an 8-way measurement.
@@ -1465,20 +1250,4 @@ fn main() {
         );
     }
     print_table(&executor, &spec, range, sim, name_width, with_header, &args);
-
-    if let Some(path) = &args.cache_out {
-        let doc = snapshot_string(executor.cache());
-        if let Err(e) = std::fs::write(path, doc) {
-            die(&format!("cannot write cache snapshot {path}: {e}"));
-        }
-        eprintln!(
-            "optimum cache: wrote {} entries to {path}",
-            executor.cache().len()
-        );
-    }
-    let cache = executor.cache().stats();
-    eprintln!(
-        "optimum cache: {} hits, {} misses, {} entries over {} cells",
-        cache.hits, cache.misses, cache.entries, shard_cells
-    );
 }

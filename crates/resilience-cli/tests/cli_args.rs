@@ -95,41 +95,17 @@ fn trailer_applies_to_sweep_commands_only() {
 }
 
 #[test]
-fn cache_snapshot_flags_are_rejected_outside_sweep_commands() {
-    for command in ["bench", "serve", "orchestrate"] {
-        assert_dies(
-            &[command, "--cache-in", "warm.snap"],
-            &["--cache-in", "sweep commands", command],
-        );
-        assert_dies(
-            &[command, "--cache-out", "warm.snap"],
-            &["--cache-out", "sweep commands", command],
-        );
+fn removed_optimum_store_flags_are_unknown_arguments() {
+    // Sweeps derive every optimum directly, so there is no store to load,
+    // save or share: these flags fail like any misspelling, everywhere.
+    for command in ["grid", "sweep", "orchestrate"] {
+        for flag in ["--cache-in", "--cache-out", "--optimum-server"] {
+            assert_dies(
+                &[command, flag, "x"],
+                &[&format!("unknown argument: {flag}")],
+            );
+        }
     }
-}
-
-#[test]
-fn optimum_server_is_rejected_outside_worker_contexts() {
-    for command in ["bench", "serve", "orchestrate"] {
-        assert_dies(
-            &[command, "--optimum-server", "127.0.0.1:9"],
-            &["--optimum-server", "sweep commands", command],
-        );
-    }
-}
-
-#[test]
-fn unreadable_cache_snapshots_die_by_path_and_reason() {
-    assert_dies(
-        &[
-            "grid",
-            "--grid-size",
-            "2",
-            "--cache-in",
-            "/no/such/file.snap",
-        ],
-        &["/no/such/file.snap", "cannot read cache snapshot"],
-    );
 }
 
 #[test]

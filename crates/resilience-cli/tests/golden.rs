@@ -119,7 +119,7 @@ fn shard_flag_rejects_malformed_slices() {
 
 #[test]
 fn shard_concatenation_is_byte_identical_to_the_unsharded_run() {
-    // Four shard invocations (separate processes, separate caches),
+    // Four shard invocations (separate processes),
     // concatenated in index order, must reproduce the unsharded stdout
     // byte for byte — shard 0 carries the header.
     let full = run(&["grid", "--grid-size", "3", "--threads", "2"]);

@@ -24,10 +24,9 @@
 //!   wins, duplicates are discarded;
 //! * a unit that exhausts `max_respawns` degrades gracefully to in-process
 //!   execution, so the merged table is still produced;
-//! * workers start with an empty optimum cache and derive only their own
-//!   unit's optima; the trailer's hit/miss counters of each unit's winning
-//!   attempt are summed, so [`CoordReport`]'s cache totals equal those of
-//!   the standalone `--shard` runs, whatever the schedule.
+//! * workers share nothing but the command line: each derives its own
+//!   unit's optima exactly as a standalone `--shard` run would, so
+//!   [`CoordReport`] counts faults and bytes, never per-worker state.
 //!
 //! The merged stdout is byte-identical to the serial unsharded run: units
 //! are global shard slices of the same deterministic cell index range the
@@ -51,7 +50,7 @@ pub mod worker;
 
 pub use backoff::retry_delay;
 pub use plan::{FaultPlan, WorkerFault};
-pub use supervisor::{run, CoordConfig, CoordReport, FallbackUnit};
+pub use supervisor::{run, CoordConfig, CoordReport};
 pub use worker::{FaultInjector, TrailerWriter};
 
 /// Environment variable carrying a worker's injected faults, set

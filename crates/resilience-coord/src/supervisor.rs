@@ -98,13 +98,6 @@ pub struct CoordReport {
     pub inproc_fallbacks: u64,
     /// Bytes written to the merged output.
     pub merged_bytes: u64,
-    /// Optimum-cache hits summed over the *merged* attempts only (plus
-    /// fallback units), so the total is schedule-independent: retried and
-    /// discarded-duplicate attempts never count.
-    pub cache_hits: u64,
-    /// Optimum-cache misses, same accounting. Workers start cold, so this
-    /// is the sum over units of each unit's own distinct-optima count.
-    pub cache_misses: u64,
 }
 
 impl Serialize for CoordReport {
@@ -122,8 +115,6 @@ impl Serialize for CoordReport {
             ("duplicates_discarded", self.duplicates_discarded.to_json()),
             ("inproc_fallbacks", self.inproc_fallbacks.to_json()),
             ("merged_bytes", self.merged_bytes.to_json()),
-            ("cache_hits", self.cache_hits.to_json()),
-            ("cache_misses", self.cache_misses.to_json()),
         ])
     }
 }
@@ -145,36 +136,14 @@ impl Deserialize for CoordReport {
             duplicates_discarded: v.read("duplicates_discarded")?,
             inproc_fallbacks: v.read("inproc_fallbacks")?,
             merged_bytes: v.read("merged_bytes")?,
-            cache_hits: v.read("cache_hits")?,
-            cache_misses: v.read("cache_misses")?,
         })
     }
-}
-
-/// One in-process fallback unit's product: the rendered bytes plus the
-/// cache hits and misses its rendering performed, so fallback units keep
-/// the merged cache totals exact.
-#[derive(Debug, Clone, Default)]
-pub struct FallbackUnit {
-    /// The unit's table bytes, exactly as a verified worker would have
-    /// produced them.
-    pub bytes: Vec<u8>,
-    /// Optimum-cache hits this rendering performed.
-    pub cache_hits: u64,
-    /// Optimum-cache misses this rendering performed.
-    pub cache_misses: u64,
 }
 
 /// How one attempt ended, as classified by the attempt thread.
 enum Outcome {
     /// Clean exit, trailer present, digest/count re-verification passed.
-    /// Carries the worker's cache counters off its trailer; they reach the
-    /// report only if this attempt wins the unit.
-    Verified {
-        bytes: Vec<u8>,
-        cache_hits: u64,
-        cache_misses: u64,
-    },
+    Verified(Vec<u8>),
     /// The worker died: abnormal exit status (or it never spawned).
     FailStop(String),
     /// The worker claimed success but verification failed — the silent
@@ -242,13 +211,14 @@ struct Unit {
 /// Orchestrates one sweep slice: spawns workers over `cfg.units` sub-shard
 /// units, supervises them, and streams the verified units to `out` in
 /// order. `fallback(range, with_header)` renders a unit in-process when it
-/// exhausts `max_respawns`. Returns the counters; `Err` only for
+/// exhausts `max_respawns`, returning exactly the bytes a verified worker
+/// would have produced. Returns the counters; `Err` only for
 /// coordinator-side I/O failures (the merge writer), never for worker
 /// failures — those are what the machinery absorbs.
 pub fn run(
     cfg: &CoordConfig,
     out: &mut dyn Write,
-    fallback: &mut dyn FnMut(Range<usize>, bool) -> io::Result<FallbackUnit>,
+    fallback: &mut dyn FnMut(Range<usize>, bool) -> io::Result<Vec<u8>>,
 ) -> io::Result<CoordReport> {
     let total_units = cfg.slice.1 * cfg.units;
     let first = cfg.slice.0 * cfg.units;
@@ -377,7 +347,7 @@ fn finish_attempt(
     outcome: Outcome,
     result: &mut Option<Vec<u8>>,
     report: &mut CoordReport,
-    fallback: &mut dyn FnMut(Range<usize>, bool) -> io::Result<FallbackUnit>,
+    fallback: &mut dyn FnMut(Range<usize>, bool) -> io::Result<Vec<u8>>,
 ) -> io::Result<()> {
     unit.outstanding.retain(|a| a.id != attempt);
     if matches!(unit.state, UnitState::Done) {
@@ -385,20 +355,11 @@ fn finish_attempt(
         return Ok(());
     }
     match outcome {
-        Outcome::Verified {
-            bytes,
-            cache_hits,
-            cache_misses,
-        } => {
+        Outcome::Verified(bytes) => {
             for a in &unit.outstanding {
                 a.kill();
             }
             unit.state = UnitState::Done;
-            // Only the winning attempt's counters merge, so the totals are
-            // schedule-independent: each unit contributes exactly once no
-            // matter how many retries or duplicates ran.
-            report.cache_hits += cache_hits;
-            report.cache_misses += cache_misses;
             *result = Some(bytes);
         }
         failure @ (Outcome::FailStop(_) | Outcome::SilentError(_)) => {
@@ -410,7 +371,7 @@ fn finish_attempt(
             let (reason, silent) = match failure {
                 Outcome::SilentError(r) => (r, true),
                 Outcome::FailStop(r) => (r, false),
-                Outcome::Verified { .. } => unreachable!("matched above"),
+                Outcome::Verified(_) => unreachable!("matched above"),
             };
             unit.retries += 1;
             if silent {
@@ -425,10 +386,7 @@ fn finish_attempt(
                      (last: {reason}); degrading to in-process execution",
                     unit.retries
                 );
-                let rendered = fallback(unit.range.clone(), unit.global == 0)?;
-                report.cache_hits += rendered.cache_hits;
-                report.cache_misses += rendered.cache_misses;
-                *result = Some(rendered.bytes);
+                *result = Some(fallback(unit.range.clone(), unit.global == 0)?);
                 unit.state = UnitState::Done;
             } else {
                 let delay = retry_delay(cfg.seed, local, unit.retries, cfg.backoff_base);
@@ -507,8 +465,8 @@ fn spawn_attempt(
     let finish_tx = tx.clone();
     thread::spawn(move || {
         // Stderr pump: heartbeats flow to the loop as they arrive; the
-        // trailer is handed back on join. Non-event stderr lines (cache
-        // stats, clamp notes) are ignored.
+        // trailer is handed back on join. Non-event stderr lines (clamp
+        // notes) are ignored.
         let trailer_pump = thread::spawn(move || -> Option<ShardTrailer> {
             let mut trailer = None;
             let stderr = stderr?;
@@ -593,11 +551,7 @@ fn classify(
             t.fnv64
         ));
     }
-    Outcome::Verified {
-        bytes: bytes.to_vec(),
-        cache_hits: t.cache_hits,
-        cache_misses: t.cache_misses,
-    }
+    Outcome::Verified(bytes.to_vec())
 }
 
 #[cfg(test)]
@@ -627,11 +581,7 @@ mod tests {
         let mut calls = Vec::new();
         let report = run(&cfg, &mut out, &mut |range, with_header| {
             calls.push((range.clone(), with_header));
-            Ok(FallbackUnit {
-                bytes: format!("unit {:?} header={with_header}\n", range).into_bytes(),
-                cache_hits: range.len() as u64 - 1,
-                cache_misses: 1,
-            })
+            Ok(format!("unit {:?} header={with_header}\n", range).into_bytes())
         })
         .expect("merge writer is a Vec");
         assert_eq!(report.inproc_fallbacks, 3);
@@ -639,9 +589,6 @@ mod tests {
         assert_eq!(report.units, 3);
         assert_eq!(report.verify_failures, 0);
         assert_eq!(report.straggler_reassignments, 0);
-        // Each fallback unit's counters, merged exactly once.
-        assert_eq!(report.cache_misses, 3);
-        assert_eq!(report.cache_hits, 6);
         // Units tile 0..9 and only the first carries the header.
         assert_eq!(calls, vec![(0..3, true), (3..6, false), (6..9, false)]);
         let text = String::from_utf8(out).expect("utf8");
@@ -663,12 +610,10 @@ mod tests {
             duplicates_discarded: 1,
             inproc_fallbacks: 0,
             merged_bytes: 12345,
-            cache_hits: 1000,
-            cache_misses: 190,
         };
         let line = report.to_json_string();
         assert!(line.contains("\"event\":\"summary\""), "{line}");
-        assert!(line.contains("\"cache_misses\":190"), "{line}");
+        assert!(line.contains("\"merged_bytes\":12345"), "{line}");
         assert_eq!(CoordReport::from_json_str(&line).expect("parses"), report);
     }
 }

@@ -233,9 +233,6 @@ enum Slot {
     Done(Result<Reply, String>),
     /// Stats snapshot, taken after the batch's counters settle.
     Stats,
-    /// Optimum-store snapshot, rendered after pass 1 so it includes this
-    /// very batch's freshly derived optima.
-    Snapshot,
 }
 
 fn process_batch(
@@ -268,7 +265,6 @@ fn process_batch(
                     optimum: cache.optimum(&cell.platform, &cell.costs, cell.theorem),
                 }))
             }
-            Query::OptimumSnapshot => Slot::Snapshot,
             Query::Stats => Slot::Stats,
             // The servers answer shutdown before it reaches the queue; a
             // direct in-process submit still gets a well-formed ack.
@@ -295,7 +291,6 @@ fn process_batch(
     for (job, slot) in batch.iter().zip(slots) {
         let outcome = match slot {
             Slot::Done(outcome) => outcome,
-            Slot::Snapshot => Ok(Reply::OptimumSnapshot(resilience::snapshot_string(cache))),
             Slot::Stats => Ok(Reply::Stats(ServiceStats {
                 requests: ws.requests,
                 batches: ws.batches,

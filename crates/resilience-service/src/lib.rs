@@ -10,9 +10,7 @@
 //!   its minimum when traffic stops;
 //! * [`server`] — stdin/stdout pipe and TCP transports with per-connection
 //!   in-order responses, bounded request lines and connection counts, and
-//!   clean shutdown;
-//! * [`client`] — a blocking, pipelining TCP client: the worker side of
-//!   the `--optimum-server` live-share mode, plus snapshot fetch.
+//!   clean shutdown.
 //!
 //! Answers are byte-identical to direct library calls: the cache is pinned
 //! bit-identical to the closed forms it memoizes, and the JSON layer
@@ -24,12 +22,10 @@
 //! threads); everything numeric stays in the pinned crates it calls.
 
 pub mod batcher;
-pub mod client;
 pub mod protocol;
 pub mod server;
 
 pub use batcher::{BatchConfig, Batcher};
-pub use client::OptimumClient;
 pub use protocol::{Query, Reply, Request, Response, ServiceStats, ShardTrailer, WorkerEvent};
 pub use server::{run_connection, run_connection_unblockable, serve_pipe, Server};
 

@@ -12,9 +12,8 @@
 //! {"id":1,"query":{"kind":"optimum","platform":{…},"costs":{…},"theorem":"theorem4"}}
 //! {"id":2,"query":{"kind":"overhead","pattern":{…},"platform":{…},"costs":{…}}}
 //! {"id":3,"query":{"kind":"sweep_cell","grid_size":10,"index":42}}
-//! {"id":4,"query":{"kind":"optimum_snapshot"}}
-//! {"id":5,"query":{"kind":"stats"}}
-//! {"id":6,"query":{"kind":"shutdown"}}
+//! {"id":4,"query":{"kind":"stats"}}
+//! {"id":5,"query":{"kind":"shutdown"}}
 //! ```
 //!
 //! Responses carry the request's `id` and either an `ok` payload (a
@@ -73,10 +72,6 @@ pub enum Query {
         /// Cell index in `0..grid_size³`.
         index: u64,
     },
-    /// The daemon's entire optimum cache as a serialized snapshot document
-    /// ([`resilience::snapshot`]): sorted, versioned, digest-sealed — ready
-    /// to write to a file and hand to `--cache-in`.
-    OptimumSnapshot,
     /// Service counters: batching behaviour and cache effectiveness.
     Stats,
     /// Acknowledge, then stop accepting connections and exit cleanly.
@@ -101,9 +96,6 @@ pub enum Reply {
         /// The cell's optimum.
         optimum: PatternOptimum,
     },
-    /// Answer to [`Query::OptimumSnapshot`]: the snapshot document (itself
-    /// line-delimited; it travels as one JSON string on the wire).
-    OptimumSnapshot(String),
     /// Answer to [`Query::Stats`].
     Stats(ServiceStats),
     /// Answer to [`Query::Shutdown`]: the daemon acknowledges before
@@ -157,12 +149,6 @@ pub struct ShardTrailer {
     pub bytes: u64,
     /// FNV-1a 64 digest of the stdout bytes ([`stats::Fnv64`]).
     pub fnv64: u64,
-    /// Optimum-cache hits this worker's sweep recorded — queries answered
-    /// without a derivation (`--cache-in` keys included).
-    pub cache_hits: u64,
-    /// Optimum-cache misses: distinct optima this worker derived itself.
-    /// A worker seeded with `--cache-in` over its whole range reports 0.
-    pub cache_misses: u64,
 }
 
 /// One line of a sweep worker's stderr event stream: line-delimited JSON in
@@ -191,8 +177,6 @@ impl Serialize for ShardTrailer {
             // Hex, for eyeballing; the paired digest in a diff lines up
             // column-for-column.
             ("fnv64", format!("{:#018x}", self.fnv64).to_json()),
-            ("cache_hits", self.cache_hits.to_json()),
-            ("cache_misses", self.cache_misses.to_json()),
         ])
     }
 }
@@ -209,8 +193,6 @@ impl Deserialize for ShardTrailer {
             lines: v.read("lines")?,
             bytes: v.read("bytes")?,
             fnv64,
-            cache_hits: v.read("cache_hits")?,
-            cache_misses: v.read("cache_misses")?,
         })
     }
 }
@@ -294,7 +276,6 @@ impl Serialize for Query {
                 ("grid_size", grid_size.to_json()),
                 ("index", index.to_json()),
             ]),
-            Query::OptimumSnapshot => Value::obj(vec![("kind", "optimum_snapshot".to_json())]),
             Query::Stats => Value::obj(vec![("kind", "stats".to_json())]),
             Query::Shutdown => Value::obj(vec![("kind", "shutdown".to_json())]),
         }
@@ -319,12 +300,11 @@ impl Deserialize for Query {
                 grid_size: v.read("grid_size")?,
                 index: v.read("index")?,
             }),
-            "optimum_snapshot" => Ok(Query::OptimumSnapshot),
             "stats" => Ok(Query::Stats),
             "shutdown" => Ok(Query::Shutdown),
             other => Err(JsonError::new(format!(
                 "unknown query kind \"{other}\" (expected optimum, overhead, \
-                 sweep_cell, optimum_snapshot, stats or shutdown)"
+                 sweep_cell, stats or shutdown)"
             ))),
         }
     }
@@ -353,10 +333,6 @@ impl Serialize for Reply {
                 ("theorem", theorem.to_json()),
                 ("optimum", optimum.to_json()),
             ]),
-            Reply::OptimumSnapshot(doc) => Value::obj(vec![
-                ("kind", "optimum_snapshot".to_json()),
-                ("snapshot", doc.to_json()),
-            ]),
             Reply::Stats(s) => {
                 Value::obj(vec![("kind", "stats".to_json()), ("stats", s.to_json())])
             }
@@ -377,7 +353,6 @@ impl Deserialize for Reply {
                 theorem: v.read("theorem")?,
                 optimum: v.read("optimum")?,
             }),
-            "optimum_snapshot" => Ok(Reply::OptimumSnapshot(v.read("snapshot")?)),
             "stats" => Ok(Reply::Stats(v.read("stats")?)),
             "shutting_down" => Ok(Reply::ShuttingDown),
             other => Err(JsonError::new(format!("unknown reply kind \"{other}\""))),

@@ -17,6 +17,13 @@
 //! error line naming the cap and closes it, so a client that opens sockets
 //! without end cannot grow the daemon's thread count.
 //!
+//! Both refusals close gracefully: the daemon shuts down its write side
+//! after the refusal line, so the client reads the line and then end of
+//! stream. Closing a TCP socket that still holds unread input sends a reset
+//! instead, and a reset can overtake the refusal; so a refused over-long
+//! line's connection also drains its input for up to [`REFUSAL_LINGER`]
+//! before it closes.
+//!
 //! A `shutdown` query is acknowledged by the connection itself (it never
 //! enters the batch queue): the writer emits the ack, then trips the
 //! server's shutdown trigger. The TCP accept loop wakes, stops accepting,
@@ -27,16 +34,22 @@ use crate::batcher::Batcher;
 use crate::protocol::{Query, Reply, Request, Response};
 use serde::{Deserialize, Serialize, Value};
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
+use std::time::{Duration, Instant};
 
 /// Longest request line the reader accepts, in bytes (newline excluded).
 pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Most TCP connections served at once; the accept loop refuses the rest.
 pub const MAX_CONNECTIONS: usize = 64;
+
+/// Longest a connection refused for an over-long line keeps reading and
+/// discarding its client's input before it closes, so the close does not
+/// reset the connection ahead of the refusal line.
+pub const REFUSAL_LINGER: Duration = Duration::from_secs(1);
 
 /// One response the writer owes the client, in request order.
 struct PendingResponse {
@@ -45,8 +58,20 @@ struct PendingResponse {
     /// `immediate` already holds it (parse errors, shutdown acks).
     from_worker: Option<mpsc::Receiver<Result<Reply, String>>>,
     immediate: Option<Result<Reply, String>>,
-    /// Trip the server shutdown after writing this response.
-    shutdown_after: bool,
+    /// What the writer does after writing this response.
+    then: Then,
+}
+
+/// The writer's next step after one response.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Then {
+    /// Write the next response.
+    Continue,
+    /// Trip the server shutdown and end the connection.
+    Shutdown,
+    /// End the connection: the response refused an over-long line, so
+    /// unread input may remain.
+    Refuse,
 }
 
 /// Serves one connection: reads requests, writes ordered responses.
@@ -62,7 +87,7 @@ where
     R: BufRead + Send,
     W: Write,
 {
-    run_connection_unblockable(reader, writer, batcher, on_shutdown, &|| {})
+    serve_connection(reader, writer, batcher, on_shutdown, &|| {}).map(drop)
 }
 
 /// [`run_connection`] with an explicit `unblock` hook, invoked exactly
@@ -82,11 +107,28 @@ where
 /// treats it as that client's problem, not the daemon's.
 pub fn run_connection_unblockable<R, W>(
     reader: R,
-    mut writer: W,
+    writer: W,
     batcher: &Batcher,
     on_shutdown: &(dyn Fn() + Sync),
     unblock: &(dyn Fn() + Sync),
 ) -> io::Result<()>
+where
+    R: BufRead + Send,
+    W: Write,
+{
+    serve_connection(reader, writer, batcher, on_shutdown, unblock).map(drop)
+}
+
+/// [`run_connection_unblockable`], returning whether the connection ended
+/// by refusing an over-long line — the one ending that can leave unread
+/// client input behind.
+fn serve_connection<R, W>(
+    reader: R,
+    mut writer: W,
+    batcher: &Batcher,
+    on_shutdown: &(dyn Fn() + Sync),
+    unblock: &(dyn Fn() + Sync),
+) -> io::Result<bool>
 where
     R: BufRead + Send,
     W: Write,
@@ -115,12 +157,16 @@ where
                 unblock();
                 return Err(e);
             }
-            if pending.shutdown_after {
-                on_shutdown();
-                break;
+            match pending.then {
+                Then::Continue => {}
+                Then::Shutdown => {
+                    on_shutdown();
+                    break;
+                }
+                Then::Refuse => return Ok(true),
             }
         }
-        Ok(())
+        Ok(false)
     })
 }
 
@@ -145,7 +191,7 @@ fn read_requests<R: BufRead>(mut reader: R, batcher: &Batcher, tx: mpsc::Sender<
                 immediate: Some(Err(format!(
                     "invalid request: line exceeds {MAX_REQUEST_LINE} bytes; closing connection"
                 ))),
-                shutdown_after: false,
+                then: Then::Refuse,
             });
             return;
         }
@@ -164,23 +210,23 @@ fn read_requests<R: BufRead>(mut reader: R, batcher: &Batcher, tx: mpsc::Sender<
                 id,
                 from_worker: None,
                 immediate: Some(Ok(Reply::ShuttingDown)),
-                shutdown_after: true,
+                then: Then::Shutdown,
             },
             Ok(request) => PendingResponse {
                 id: request.id,
                 from_worker: Some(batcher.submit(request.query)),
                 immediate: None,
-                shutdown_after: false,
+                then: Then::Continue,
             },
             Err(err) => PendingResponse {
                 // Best effort to echo the id even when the query is bad.
                 id: salvage_id(line),
                 from_worker: None,
                 immediate: Some(Err(format!("invalid request: {err}"))),
-                shutdown_after: false,
+                then: Then::Continue,
             },
         };
-        let stop = pending.shutdown_after;
+        let stop = pending.then == Then::Shutdown;
         if tx.send(pending).is_err() || stop {
             return;
         }
@@ -290,8 +336,9 @@ fn accept_loop(
             };
             if live.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
                 // One short line fits the fresh socket's send buffer, so
-                // this write does not block the accept loop. Dropping the
-                // stream closes it.
+                // neither the write nor the shutdown blocks the accept
+                // loop. The shutdown queues the end of stream behind the
+                // line; dropping the stream then closes it.
                 let refusal = Response {
                     id: 0,
                     outcome: Err(format!(
@@ -300,6 +347,7 @@ fn accept_loop(
                     )),
                 };
                 let _ = stream.write_all((refusal.to_json_string() + "\n").as_bytes());
+                let _ = stream.shutdown(Shutdown::Write);
                 continue;
             }
             live.fetch_add(1, Ordering::SeqCst);
@@ -319,19 +367,42 @@ fn accept_loop(
                 // down both ways so the reader half wakes from its
                 // blocking read instead of waiting on a dead peer.
                 let unblock = move || {
-                    let _ = unblock_half.shutdown(std::net::Shutdown::Both);
+                    let _ = unblock_half.shutdown(Shutdown::Both);
                 };
                 // Per-connection I/O errors only affect that client.
-                let _ = run_connection_unblockable(
+                let refused = serve_connection(
                     BufReader::new(read_half),
-                    stream,
+                    &stream,
                     &batcher,
                     &on_shutdown,
                     &unblock,
                 );
+                if let Ok(true) = refused {
+                    linger_close(&stream);
+                }
             });
         }
     });
+}
+
+/// Ends a refused connection gracefully: shuts down the write side, so the
+/// refusal already written is followed by end of stream, then reads and
+/// discards the client's input until it closes its side or
+/// [`REFUSAL_LINGER`] runs out. The caller's drop then closes the socket.
+fn linger_close(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + REFUSAL_LINGER;
+    let mut sink = [0u8; 8192];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match (&*stream).read(&mut sink) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+    }
 }
 
 /// Serves the pipe transport (stdin/stdout): one connection, then done.

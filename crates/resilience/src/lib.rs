@@ -16,16 +16,16 @@
 //!   procedural canonical grid up to 10⁶ cells);
 //! * [`cache`] — the [`OptimumCache`] memoizing theorem optima on bit-exact
 //!   `(Platform, CostModel, Theorem)` keys, sharded into independently
-//!   locked maps with lock-free hit/miss counters;
+//!   locked maps with lock-free hit/miss counters (the query daemon's
+//!   batcher answers through it; sweeps derive every optimum directly);
 //! * [`wire`] — hand-written JSON encodings for the domain types
 //!   ([`Platform`], [`CostModel`], [`Theorem`], [`Pattern`],
 //!   [`PatternOptimum`], [`OptimumKey`]) that re-validate constructor
 //!   invariants on deserialization, so untrusted wire input cannot build
 //!   values the in-process API could not;
 //! * [`snapshot`] — the serialized optimum-store format (versioned header,
-//!   bit-exact sorted entries, FNV-64 integrity footer) that lets sweep
-//!   shards, orchestrated workers and the query daemon share one warm
-//!   cache instead of re-deriving ~190 optima each.
+//!   bit-exact sorted entries, FNV-64 integrity footer). No command reads
+//!   or writes it; it stays public for the `perfbench` harness.
 //!
 //! Every closed form is cross-checked against the unified numeric optimizers
 //! of the `numerics` crate in `tests/consistency.rs`.

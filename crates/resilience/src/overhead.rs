@@ -43,7 +43,7 @@ pub fn silent_reexec_fraction(pattern: &Pattern, costs: &CostModel) -> f64 {
     pattern.validate();
     // Matrix-free βᵀAβ: bit-identical to materializing the recall matrix
     // (pinned in `numerics`), but with no per-call O(m²) allocation — this
-    // runs on every theorem-3/4 optimizer call, i.e. every cache miss of a
+    // runs on every theorem-3/4 optimizer call, i.e. on every cell of a
     // sweep.
     let chunk_form = |beta: &[f64]| recall_quadratic_form(costs.recall, beta);
     match *pattern {

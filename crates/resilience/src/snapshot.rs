@@ -10,18 +10,17 @@
 //! {"fnv64":"0x…"}
 //! ```
 //!
-//! Keys travel as raw f64 bit patterns (see [`crate::wire`]), so a warmed
-//! cache is *bit-identical* to the one that wrote the snapshot — which is
-//! what lets a warmed shard promise byte-identical sweep output with zero
-//! misses on covered keys. Entries are emitted in [`OptimumKey::order_key`]
+//! Keys travel as raw f64 bit patterns (see [`crate::wire`]), so a reloaded
+//! cache is *bit-identical* to the one that wrote the snapshot. Entries are
+//! emitted in [`OptimumKey::order_key`]
 //! order, so the same cache contents always produce the same bytes no
 //! matter how they were inserted. The footer's FNV-64 digest covers every
 //! byte of the header and entry lines (newlines included); a flipped bit,
 //! a truncated tail or a foreign format is rejected with an error naming
 //! the failure, never silently half-loaded.
 //!
-//! This module is pure string ↔ entries — file and socket I/O stay in the
-//! CLI and daemon, keeping this crate deterministic and I/O-free.
+//! This module is pure string ↔ entries, keeping this crate deterministic
+//! and I/O-free.
 
 use crate::cache::{OptimumCache, OptimumKey};
 use crate::optimal::PatternOptimum;

@@ -452,7 +452,7 @@ impl GridAxes {
 /// ratio 2, so many (nodes, MTBF) pairs share the exact platform rate
 /// `λ = nodes / mtbf` (power-of-two scaling of an f64 quotient is
 /// bit-exact): the grid intentionally contains repeated optimizer inputs,
-/// which the optimum cache collapses.
+/// which the query daemon's optimum cache collapses.
 ///
 /// # Panics
 /// Panics when `per_axis` is 0 or exceeds [`GRID_AXIS_LEN`].

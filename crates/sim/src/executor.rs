@@ -1,35 +1,34 @@
 //! Sharded sweep executor: streams a [`SweepSpec`]'s cells over a pool of
 //! workers and emits results back in deterministic cell order.
 //!
-//! Two dispatch shapes, chosen by what a cell costs:
+//! One dispatch loop serves every sweep. The index range is cut into
+//! *chunks* of consecutive cells, and every worker — the calling thread
+//! included — claims the next unclaimed chunk off an atomic cursor, so a
+//! worker that runs slow (an expensive cell, a busy core) simply claims
+//! fewer chunks. A worker folds its chunk into one batch: rendered rows
+//! appended to a byte buffer for [`SweepExecutor::run_rendered_range`], or
+//! [`CellResult`]s for [`SweepExecutor::run_streaming_range`]. The calling
+//! thread ships the batches in chunk order: it takes the next one from a
+//! small reorder buffer when it is there, collects finished chunks from the
+//! other workers, and otherwise claims and runs a chunk itself. Chunks are
+//! claimed in order, so the reorder buffer holds only the few chunks that
+//! finished ahead of a slower one, and the channel from the other workers
+//! is bounded, so a slow reader of the output stalls them instead of
+//! letting finished chunks pile up.
 //!
-//! * **Analytic sweeps** (`sim == None`, cells cost microseconds) run one
-//!   loop for every worker count: a *static partition*. The index range is
-//!   split into one contiguous near-equal slice per worker — the same slice
-//!   formula as cross-process `--shard` — and each worker walks its slice
-//!   in index order, taking every cell's optimum through the shared
-//!   [`OptimumCache`] and folding the result into a batch: rendered rows
-//!   appended to a reused byte buffer for
-//!   [`SweepExecutor::run_rendered_range`], or [`CellResult`]s for
-//!   [`SweepExecutor::run_streaming_range`]. Full batches cross a
-//!   per-worker channel. Because each worker is the single producer for its
-//!   range and worker ranges tile the range in order, the emitter drains
-//!   the channels worker by worker, as batches arrive — no reorder buffer.
-//!   Serial is the one-partition case, run inline on the calling thread.
-//! * **Simulated sweeps** (`sim == Some`) with more than one worker keep
-//!   per-cell work stealing off an atomic cursor: per-cell cost dwarfs
-//!   dispatch, and cell-level stealing is what keeps expensive cells from
-//!   stalling cheap ones. Results funnel through a per-cell reorder buffer
-//!   and are rendered on the emitting thread.
+//! A chunk's size follows what a cell costs. An analytic cell
+//! (`sim == None`) costs microseconds, so chunks of `CELLS_PER_CLAIM`
+//! make claiming and shipping free per cell. A simulated cell costs
+//! milliseconds, so it is its own chunk: claimed alone, so expensive cells
+//! never stall cheap ones, and shipped the moment it is done. One worker
+//! is the serial run, with no thread spawned.
 //!
 //! Determinism is structural, not incidental:
 //!
-//! * every cell's optimum comes from the pure closed-form optimizers
-//!   through the shared [`OptimumCache`], whose bit-exact keys make a hit
-//!   indistinguishable from a recomputation;
-//! * cache *statistics* are schedule-independent too: a query is a miss
-//!   exactly when its insert wins the vacant entry, so threaded totals
-//!   equal the serial run's exactly;
+//! * every cell's optimum is [`Theorem::optimize`] at that cell's
+//!   `(platform, costs)`: the closed-form optimizers are pure functions of
+//!   their inputs, so no worker shares or remembers anything that could
+//!   make a cell's answer depend on which cells ran before it;
 //! * every cell's Monte-Carlo seed is derived from `(base seed, cell index)`
 //!   by [`cell_seed`], never from which worker ran it;
 //! * results are emitted in increasing cell index, and a row's bytes
@@ -44,13 +43,13 @@
 
 use crate::engine::Backend;
 use crate::runner::{run_replications, RunConfig, SimReport};
-use resilience::cache::{OptimumCache, OptimumKey};
-use resilience::platform::{CostModel, Platform};
+use resilience::optimal::PatternOptimum;
 use resilience::sweep::{CellName, SweepCell, SweepSpec, Theorem};
+use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 
 /// Monte-Carlo settings applied to every cell of a sweep. `None` in the
 /// executor API means analytic-only cells (no simulation).
@@ -71,7 +70,7 @@ pub struct SimSettings {
     pub backend: Backend,
 }
 
-/// One finished cell: the memoized optimum plus the optional simulation
+/// One finished cell: the derived optimum plus the optional simulation
 /// report, tagged with the cell's deterministic position.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
@@ -87,8 +86,6 @@ pub struct CellResult {
     pub report: Option<SimReport>,
 }
 
-use resilience::optimal::PatternOptimum;
-
 /// Derives the per-cell simulation seed from the sweep's base seed and the
 /// cell index (one SplitMix64 scramble), so cell results are a pure function
 /// of `(spec, settings)` no matter how cells are sharded.
@@ -99,86 +96,30 @@ pub fn cell_seed(base: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Bytes of rendered rows a worker collects before shipping them: large
-/// enough that channel sends and `write` calls are rare, small enough that
-/// the emitter starts writing long before a partition is done.
-const CHUNK_BYTES: usize = 64 * 1024;
-/// Headroom left in a chunk for the next row, so a row of ordinary width
-/// never makes the chunk reallocate.
-const ROW_SLACK: usize = 512;
-/// Analytic [`CellResult`]s a worker collects before shipping them.
-const RESULTS_PER_SEND: usize = 4096;
+/// Analytic cells per claimed chunk: enough that claiming and shipping
+/// cost nothing per cell, few enough that a chunk's rendered rows (about
+/// 64 KiB on the canonical grid) reach the writer early and stay in cache.
+const CELLS_PER_CLAIM: usize = 1024;
 
-/// Resolves optimum queries in place of the local closed forms — the
-/// live-share hook: the CLI installs a daemon client here for
-/// `--optimum-server` workers, so this crate stays free of any socket I/O.
-/// Workers call it with one query per cache miss.
-/// Must return exactly one optimum per query, in order, and must be
-/// bit-identical to `theorem.optimize(platform, costs)` (the daemon runs
-/// the same pure optimizers over a lossless wire, so it is — which is what
-/// keeps resolved sweeps byte-identical to local ones).
-pub type OptimumResolver =
-    Arc<dyn Fn(&[(Platform, CostModel, Theorem)]) -> Vec<PatternOptimum> + Send + Sync>;
-
-/// Sweep executor: a worker count and a shared optimum cache. Cheap to
-/// construct; reuse one across runs to keep amortizing the cache.
+/// Sweep executor: a worker count. Cheap to construct and holds no state
+/// between runs.
+#[derive(Debug, Clone, Copy)]
 pub struct SweepExecutor {
     threads: usize,
-    cache: Arc<OptimumCache>,
-    resolver: Option<OptimumResolver>,
-}
-
-impl std::fmt::Debug for SweepExecutor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SweepExecutor")
-            .field("threads", &self.threads)
-            .field("cache", &self.cache)
-            .field("resolver", &self.resolver.as_ref().map(|_| "…"))
-            .finish()
-    }
 }
 
 impl SweepExecutor {
-    /// Executor with `threads` workers and a fresh cache.
+    /// Executor with `threads` workers (at least 1).
     pub fn new(threads: usize) -> Self {
-        Self::with_cache(threads, Arc::new(OptimumCache::new()))
-    }
-
-    /// Executor sharing an existing cache (e.g. across repeated sweeps or
-    /// with a future service layer).
-    pub fn with_cache(threads: usize, cache: Arc<OptimumCache>) -> Self {
         Self {
             threads: threads.max(1),
-            cache,
-            resolver: None,
         }
-    }
-
-    /// Executor whose cache misses are answered by `resolver` instead of
-    /// the local closed forms (the `--optimum-server` worker mode). Hits
-    /// never leave the cache, and the hit/miss accounting is identical to
-    /// the local path — a miss is a miss whether derived here or fetched.
-    pub fn with_resolver(
-        threads: usize,
-        cache: Arc<OptimumCache>,
-        resolver: OptimumResolver,
-    ) -> Self {
-        Self {
-            threads: threads.max(1),
-            cache,
-            resolver: Some(resolver),
-        }
-    }
-
-    /// The shared optimum cache (hit/miss counters included).
-    pub fn cache(&self) -> &OptimumCache {
-        &self.cache
     }
 
     /// The worker count this executor will use for `total` cells — the
     /// configured thread count clamped to the cell count (never below 1).
-    /// `effective_workers(total) == 1` means the one partition runs inline
-    /// on the calling thread: no pool is spawned at all.
+    /// `effective_workers(total) == 1` means the calling thread runs every
+    /// cell itself: no pool is spawned at all.
     pub fn effective_workers(&self, total: usize) -> usize {
         self.threads.min(total).max(1)
     }
@@ -205,13 +146,13 @@ impl SweepExecutor {
     /// The executor's contract is that [`run`](Self::run) with any worker
     /// count produces exactly this output.
     pub fn run_serial(&self, spec: &SweepSpec, sim: Option<SimSettings>) -> Vec<CellResult> {
-        Self::with_cache(1, Arc::clone(&self.cache)).run(spec, sim)
+        Self::new(1).run(spec, sim)
     }
 
     /// Runs the sweep, invoking `emit` once per cell in increasing cell
     /// index — streaming: results are emitted as their prefix of the range
-    /// completes (simulated cells one by one, analytic cells a few thousand
-    /// at a time), not after the whole sweep.
+    /// completes (simulated cells one by one, analytic cells a chunk at a
+    /// time), not after the whole sweep.
     pub fn run_streaming(
         &self,
         spec: &SweepSpec,
@@ -236,19 +177,14 @@ impl SweepExecutor {
         sim: Option<SimSettings>,
         mut emit: impl FnMut(CellResult),
     ) {
-        // A simulated cell is worth emitting the moment it is done.
-        let per_send = if sim.is_some() { 1 } else { RESULTS_PER_SEND };
         self.drive(
             spec,
             range,
             sim,
             Vec::new,
-            |batch: &mut Vec<CellResult>, r| {
-                batch.push(r);
-                batch.len() >= per_send
-            },
+            |batch: &mut Vec<CellResult>, r| batch.push(r),
             |batch| {
-                batch.drain(..).for_each(&mut emit);
+                batch.into_iter().for_each(&mut emit);
                 true
             },
         );
@@ -257,10 +193,9 @@ impl SweepExecutor {
     /// Runs the cells of `range` like
     /// [`run_streaming_range`](Self::run_streaming_range), but hands each
     /// finished cell to `render`, which appends its row to a byte buffer.
-    /// Analytic cells are rendered on the worker that computed them, into a
-    /// buffer reused across rows; the rendered bytes reach `out` in
-    /// increasing cell order, in chunks of about 64 KiB. Simulated rows
-    /// reach `out` one by one, as their prefix of the range completes.
+    /// Cells are rendered on the worker that computed them; the rendered
+    /// bytes reach `out` in increasing cell order, one chunk per `write`
+    /// (one row per `write` for simulated cells).
     ///
     /// The first write error stops the workers and is returned, so a closed
     /// downstream pipe ends the sweep instead of finishing it unread.
@@ -275,165 +210,94 @@ impl SweepExecutor {
         render: impl Fn(&CellResult, &mut Vec<u8>) + Sync,
         out: &mut dyn Write,
     ) -> io::Result<()> {
-        // A simulated row is worth writing the moment it is done.
-        let chunk = if sim.is_some() {
-            1
-        } else {
-            CHUNK_BYTES - ROW_SLACK
-        };
         let mut failed = None;
         self.drive(
             spec,
             range,
             sim,
-            || Vec::with_capacity(CHUNK_BYTES),
-            |buf: &mut Vec<u8>, r| {
-                render(&r, buf);
-                buf.len() >= chunk
-            },
-            |buf| {
-                let written = out.write_all(buf);
-                buf.clear();
-                written.map_err(|e| failed = Some(e)).is_ok()
-            },
+            Vec::new,
+            |buf: &mut Vec<u8>, r| render(&r, buf),
+            |buf| out.write_all(&buf).map_err(|e| failed = Some(e)).is_ok(),
         );
         failed.map_or(Ok(()), Err)
     }
 
-    /// Runs `range`, folding each finished cell into a batch with `fill`
-    /// (which returns `true` once the batch should ship) and handing every
-    /// full batch, then the last partial one, to `ship` in cell order.
-    /// `ship` leaves the batch empty for reuse and returns `false` to stop
-    /// the sweep early.
+    /// Runs `range` chunk by chunk (see the module docs): each chunk's
+    /// cells fold into a fresh batch with `fill`, and the calling thread
+    /// hands the finished batches to `ship` in chunk order. `ship` returns
+    /// `false` to stop the sweep early; the other workers then stop at
+    /// their next finished chunk.
     fn drive<B: Send>(
         &self,
         spec: &SweepSpec,
         range: Range<usize>,
         sim: Option<SimSettings>,
         new_batch: impl Fn() -> B + Sync,
-        fill: impl Fn(&mut B, CellResult) -> bool + Sync,
-        mut ship: impl FnMut(&mut B) -> bool,
+        fill: impl Fn(&mut B, CellResult) + Sync,
+        mut ship: impl FnMut(B) -> bool,
     ) {
-        let workers = self.effective_workers(range.len());
-        if workers == 1 {
-            let cells = spec.iter_range(range).map(|cell| self.eval(cell, sim));
-            fold(cells, &mut new_batch(), &fill, &mut ship);
-        } else if sim.is_none() {
-            self.run_partitioned(spec, range, workers, &new_batch, &fill, &mut ship);
-        } else {
-            self.run_simulated_stealing(spec, range, sim, workers, |ordered| {
-                fold(ordered, &mut new_batch(), &fill, &mut ship)
-            });
-        }
-    }
-
-    /// Threaded analytic sweep: static contiguous partition, one worker per
-    /// slice, each folding its cells exactly as the serial run does.
-    ///
-    /// Worker `w` owns `[total·w/workers, total·(w+1)/workers)` — the same
-    /// slice formula as cross-process `--shard` — so each worker is the
-    /// *single producer* for its range: its channel delivers batches in
-    /// index order for free, and draining the channels in worker order
-    /// ships strictly increasing indices with no reorder buffer. Workers
-    /// ahead of the drain point queue their batches in their channels. When
-    /// `ship` stops the drain, the receivers drop and every worker stops at
-    /// its next send.
-    fn run_partitioned<B: Send>(
-        &self,
-        spec: &SweepSpec,
-        range: Range<usize>,
-        workers: usize,
-        new_batch: &(impl Fn() -> B + Sync),
-        fill: &(impl Fn(&mut B, CellResult) -> bool + Sync),
-        ship: &mut impl FnMut(&mut B) -> bool,
-    ) {
-        let total = range.len();
-        let start = range.start;
-        std::thread::scope(|scope| {
-            let mut rxs = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let (tx, rx) = mpsc::channel::<B>();
-                rxs.push(rx);
-                let lo = start + total * w / workers;
-                let hi = start + total * (w + 1) / workers;
-                scope.spawn(move || {
-                    let cells = spec.iter_range(lo..hi).map(|cell| self.eval(cell, None));
-                    let mut send =
-                        |batch: &mut B| tx.send(std::mem::replace(batch, new_batch())).is_ok();
-                    fold(cells, &mut new_batch(), fill, &mut send);
-                });
-            }
-            for rx in rxs {
-                for mut batch in rx {
-                    if !ship(&mut batch) {
-                        return;
-                    }
-                }
-            }
-        });
-    }
-
-    /// Threaded simulated sweep: per-cell work stealing off an atomic
-    /// cursor, with a per-cell reorder buffer that hands `consume` the
-    /// results in cell order on the calling thread. One simulated cell
-    /// costs milliseconds, so per-cell dispatch overhead is irrelevant and
-    /// stealing keeps expensive cells from stalling cheap ones. `consume`
-    /// returns `false` when it stopped before the last cell.
-    fn run_simulated_stealing(
-        &self,
-        spec: &SweepSpec,
-        range: Range<usize>,
-        sim: Option<SimSettings>,
-        workers: usize,
-        consume: impl FnOnce(&mut dyn Iterator<Item = CellResult>) -> bool,
-    ) {
-        let total = range.len();
-        let start = range.start;
+        let per_claim = if sim.is_some() { 1 } else { CELLS_PER_CLAIM };
+        let chunks = range.len().div_ceil(per_claim);
         let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, CellResult)>();
+        let claim = || {
+            let k = cursor.fetch_add(1, Ordering::Relaxed);
+            (k < chunks).then_some(k)
+        };
+        let run_chunk = |k: usize| {
+            let lo = range.start + k * per_claim;
+            let hi = range.end.min(lo + per_claim);
+            let mut batch = new_batch();
+            for cell in spec.iter_range(lo..hi) {
+                fill(&mut batch, self.eval(cell, sim));
+            }
+            batch
+        };
+        let (claim, run_chunk) = (&claim, &run_chunk);
+        let workers = self.effective_workers(range.len());
         std::thread::scope(|scope| {
-            for _ in 0..workers {
+            // Bounded, so workers wait instead of piling up finished chunks
+            // while `ship` blocks on a slow reader.
+            let (tx, rx) = mpsc::sync_channel::<(usize, B)>(2 * workers);
+            for _ in 1..workers {
                 let tx = tx.clone();
-                let cursor = &cursor;
-                scope.spawn(move || loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    let r = self.eval(spec.cell_at(start + i), sim);
-                    if tx.send((i, r)).is_err() {
-                        break;
+                scope.spawn(move || {
+                    while let Some(k) = claim() {
+                        if tx.send((k, run_chunk(k))).is_err() {
+                            return;
+                        }
                     }
                 });
             }
             drop(tx);
-
-            let mut pending: Vec<Option<CellResult>> = Vec::new();
-            pending.resize_with(total, || None);
-            let mut next = 0usize;
-            let mut arrivals = rx.into_iter();
-            let mut ordered = std::iter::from_fn(|| loop {
-                if let Some(r) = pending.get_mut(next).and_then(Option::take) {
-                    next += 1;
-                    return Some(r);
+            let mut ahead = BTreeMap::new();
+            for next in 0..chunks {
+                let batch = loop {
+                    if let Some(batch) = ahead.remove(&next) {
+                        break batch;
+                    }
+                    let (k, batch) = match rx.try_recv() {
+                        Ok(done) => done,
+                        Err(_) => match claim() {
+                            Some(k) => (k, run_chunk(k)),
+                            // Every chunk is claimed, and `next` is still
+                            // running on a spawned worker.
+                            None => rx.recv().expect("a sweep worker died holding a chunk"),
+                        },
+                    };
+                    ahead.insert(k, batch);
+                };
+                if !ship(batch) {
+                    return;
                 }
-                let (i, r) = arrivals.next()?;
-                pending[i] = Some(r);
-            });
-            if consume(&mut ordered) {
-                assert!(
-                    next == total,
-                    "executor lost cells: emitted {next} of {total}"
-                );
             }
         });
     }
 
-    /// Evaluates one cell: memoized optimum, then the optional simulation
-    /// with the cell-derived seed. Consumes the cell — its lazy name moves
-    /// into the result, so evaluation allocates nothing per cell.
+    /// Evaluates one cell: its optimum, then the optional simulation with
+    /// the cell-derived seed. Consumes the cell — its lazy name moves into
+    /// the result.
     fn eval(&self, cell: SweepCell, sim: Option<SimSettings>) -> CellResult {
-        let optimum = self.resolve_one(&cell.platform, &cell.costs, cell.theorem);
+        let optimum = cell.theorem.optimize(&cell.platform, &cell.costs);
         let report = sim.map(|s| {
             run_replications(
                 &optimum.pattern,
@@ -456,55 +320,6 @@ impl SweepExecutor {
             report,
         }
     }
-
-    /// One cell's optimum through the shared cache: local closed forms on
-    /// a miss, or the installed resolver when one is present — with the
-    /// same per-query hit/miss accounting either way (one query; a miss
-    /// iff the key was globally unknown).
-    fn resolve_one(
-        &self,
-        platform: &Platform,
-        costs: &CostModel,
-        theorem: Theorem,
-    ) -> PatternOptimum {
-        let Some(resolve) = &self.resolver else {
-            return self.cache.optimum(platform, costs, theorem);
-        };
-        let key = OptimumKey::new(platform, costs, theorem);
-        if let Some(found) = self.cache.lookup(&key) {
-            self.cache.merge(std::iter::empty(), 1);
-            return found;
-        }
-        let mut resolved = resolve(&[(*platform, *costs, theorem)]);
-        assert_eq!(
-            resolved.len(),
-            1,
-            "optimum resolver must answer every query"
-        );
-        let optimum = resolved.pop().expect("length just asserted");
-        self.cache.merge([(key, optimum.clone())], 1);
-        optimum
-    }
-}
-
-/// Folds `results`, which arrive in cell order, into `batch`: ships it
-/// whenever `fill` says it is full, then once more if results are left
-/// over. This is the one sweep loop every worker count runs. Returns
-/// `false` when `ship` stopped it early.
-fn fold<B>(
-    results: impl Iterator<Item = CellResult>,
-    batch: &mut B,
-    fill: &impl Fn(&mut B, CellResult) -> bool,
-    ship: &mut impl FnMut(&mut B) -> bool,
-) -> bool {
-    let mut unshipped = false;
-    for r in results {
-        unshipped = !fill(batch, r);
-        if !unshipped && !ship(batch) {
-            return false;
-        }
-    }
-    !unshipped || ship(batch)
 }
 
 #[cfg(test)]
@@ -569,57 +384,6 @@ mod tests {
             assert_eq!(
                 r.optimum,
                 cell.theorem.optimize(&cell.platform, &cell.costs)
-            );
-        }
-    }
-
-    #[test]
-    fn resolver_answers_misses_and_matches_the_local_path() {
-        let spec = small_spec();
-        let local = SweepExecutor::new(4);
-        let expected = local.run(&spec, None);
-        for threads in [1, 4] {
-            let queries = Arc::new(AtomicUsize::new(0));
-            let counted = Arc::clone(&queries);
-            let resolver: OptimumResolver = Arc::new(move |cells| {
-                counted.fetch_add(cells.len(), Ordering::Relaxed);
-                cells
-                    .iter()
-                    .map(|(platform, costs, theorem)| theorem.optimize(platform, costs))
-                    .collect()
-            });
-            let exec =
-                SweepExecutor::with_resolver(threads, Arc::new(OptimumCache::new()), resolver);
-            assert_eq!(exec.run(&spec, None), expected);
-            let stats = exec.cache().stats();
-            assert_eq!(stats.misses, local.cache().stats().misses);
-            assert_eq!(stats.hits, local.cache().stats().hits);
-            assert!(
-                queries.load(Ordering::Relaxed) as u64 >= stats.misses,
-                "every miss must have reached the resolver"
-            );
-        }
-    }
-
-    #[test]
-    fn warm_cache_never_consults_the_resolver() {
-        let spec = small_spec();
-        let warm = SweepExecutor::new(1);
-        warm.run(&spec, None);
-        let seeded = Arc::new(OptimumCache::new());
-        seeded.seed(warm.cache().snapshot_entries());
-        let resolver: OptimumResolver =
-            Arc::new(|_| panic!("warm covered keys must never reach the resolver"));
-        for threads in [1, 3] {
-            let exec = SweepExecutor::with_resolver(threads, Arc::clone(&seeded), resolver.clone());
-            let before = exec.cache().stats();
-            assert_eq!(exec.run(&spec, None), warm.run_serial(&spec, None));
-            let after = exec.cache().stats();
-            assert_eq!(after.misses, before.misses, "warmed run must not miss");
-            assert_eq!(
-                after.hits - before.hits,
-                spec.len() as u64,
-                "every covered query is a hit"
             );
         }
     }

@@ -12,15 +12,15 @@
 //! * [`runner`] — multi-threaded replication runner merging per-thread
 //!   [`stats::OnlineStats`] into [`stats::Summary`] confidence intervals,
 //!   with an optional completion-time [`stats::Histogram`];
-//! * [`executor`] — sharded sweep executor dispatching `SweepSpec` cells
-//!   over a work-stealing pool, memoizing optima through the shared
-//!   `OptimumCache` and streaming results in deterministic cell order.
+//! * [`executor`] — sharded sweep executor whose workers claim chunks of
+//!   `SweepSpec` cells in order, derive every cell's optimum directly,
+//!   and stream results back in deterministic cell order.
 //!
 //! `tests/validation.rs` closes the loop with the analytic side: for every
 //! theorem's optimal pattern, the simulated mean overhead must fall within
 //! its own 95% confidence interval of the first-order prediction;
 //! `tests/executor.rs` pins sharded sweeps byte-identical to the serial
-//! loop and asserts the optimum cache collapses repeated cells;
+//! loop and every cell's optimum equal to a direct optimizer call;
 //! `tests/backends.rs` pins the event backend to captured goldens and the
 //! two backends to each other within overlapping 99% confidence intervals.
 

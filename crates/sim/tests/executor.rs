@@ -1,6 +1,6 @@
 //! Executor acceptance tests: sharded output byte-identical to the serial
-//! loop over the 1,000-cell canonical grid, and the optimum cache collapsing
-//! repeated cells.
+//! loop over the 1,000-cell canonical grid, and every cell's optimum equal
+//! to a direct call of the closed-form optimizer.
 
 // Every test in this file is a Monte-Carlo or full-grid acceptance run;
 // under Miri's interpreter each would take minutes to hours, so the whole
@@ -8,12 +8,10 @@
 // comes from the small cfg-gated unit tests in `src/`.
 #![cfg(not(miri))]
 
-use resilience::cache::OptimumCache;
 use resilience::sweep::{grid_spec, SweepSpec, Theorem};
 use resilience::{reference_scenarios, Pattern};
 use sim::executor::{CellResult, SimSettings, SweepExecutor};
 use sim::Backend;
-use std::sync::Arc;
 
 /// Renders one cell result exactly the way a table row would: every float
 /// through fixed-precision formatting, so equality here is byte equality of
@@ -61,9 +59,8 @@ fn sharded_grid_is_byte_identical_to_serial_over_1000_cells() {
 #[test]
 fn shard_ranges_concatenate_to_the_full_grid() {
     // The cross-process sharding primitive: a partition of the cell index
-    // range, each slice run by its own executor (fresh cache — nothing
-    // shared between "processes"), concatenated in order, must render the
-    // same bytes as one unsharded run.
+    // range, each slice run by its own executor, concatenated in order,
+    // must render the same bytes as one unsharded run.
     let spec = grid_spec(10);
     let full: Vec<String> = SweepExecutor::new(4)
         .run(&spec, None)
@@ -82,23 +79,29 @@ fn shard_ranges_concatenate_to_the_full_grid() {
 }
 
 #[test]
-fn threaded_grid_preserves_exact_query_totals() {
-    // Thread-local caches must not lose or duplicate queries, and their
-    // merge accounting must be *schedule-independent*: a query is a miss
-    // iff its entry is globally new, so the threaded totals are exactly
-    // the serial run's 810 hits / 190 misses — not merely summing to
-    // 1,000 — for any worker count and interleaving. (Workers that derive
-    // the same optimum privately reclassify the duplicate as a hit at
-    // merge time.)
-    for workers in [2, 4, 8] {
-        let spec = grid_spec(10);
-        let exec = SweepExecutor::new(workers);
-        exec.run(&spec, None);
-        let stats = exec.cache().stats();
-        assert_eq!(stats.hits, 810, "{workers} workers: hits");
-        assert_eq!(stats.misses, 190, "{workers} workers: misses");
-        assert_eq!(stats.entries, 190, "{workers} workers: entries");
+fn every_grid_cell_is_the_direct_optimum_at_any_worker_count_and_sharding() {
+    // No worker remembers or shares optima, so each of the 1,000 cells must
+    // carry exactly `theorem.optimize` at its own (platform, costs), for
+    // every worker count and when the grid runs as three separate shards.
+    let spec = grid_spec(10);
+    let direct: Vec<_> = spec
+        .iter()
+        .map(|cell| cell.theorem.optimize(&cell.platform, &cell.costs))
+        .collect();
+    assert_eq!(direct.len(), 1_000);
+    let optima =
+        |results: Vec<CellResult>| -> Vec<_> { results.into_iter().map(|r| r.optimum).collect() };
+    for workers in [1, 2, 3] {
+        let results = SweepExecutor::new(workers).run(&spec, None);
+        assert_eq!(optima(results), direct, "{workers} workers");
     }
+    let mut sharded = Vec::new();
+    for shard in 0..3 {
+        let lo = spec.len() * shard / 3;
+        let hi = spec.len() * (shard + 1) / 3;
+        sharded.extend(SweepExecutor::new(2).run_range(&spec, lo..hi, None));
+    }
+    assert_eq!(optima(sharded), direct, "3-way shard concatenation");
 }
 
 #[test]
@@ -140,40 +143,6 @@ fn million_cell_grid_is_deterministic_across_scheduling() {
         concat.extend(SweepExecutor::new(8).run_range(&spec, lo..hi, None));
     }
     assert_eq!(concat, serial, "sharded 100³ grid must match serial");
-}
-
-#[test]
-fn optimum_cache_collapses_the_grid_repeats() {
-    // The grid's geometric axes repeat platform rates bit-exactly, so a
-    // single serial pass must already hit: 10×10 (nodes, mtbf) pairs share
-    // 19 distinct ratios, ×10 recalls = 190 distinct optimizer inputs for
-    // 1,000 cells.
-    let spec = grid_spec(10);
-    let exec = SweepExecutor::new(1);
-    exec.run(&spec, None);
-    let stats = exec.cache().stats();
-    assert_eq!(stats.hits + stats.misses, 1_000);
-    assert_eq!(stats.entries, 190);
-    assert_eq!(stats.misses, 190);
-    assert_eq!(stats.hits, 810, "repeated cells must hit the cache");
-}
-
-#[test]
-fn repeated_sweeps_hit_a_shared_cache_exactly() {
-    let spec = SweepSpec::new()
-        .scenarios(&reference_scenarios())
-        .all_theorems();
-    let cache = Arc::new(OptimumCache::new());
-    let exec = SweepExecutor::with_cache(1, Arc::clone(&cache));
-
-    let first = exec.run(&spec, None);
-    assert_eq!(cache.stats().hits, 0);
-    assert_eq!(cache.stats().misses, 12);
-
-    let second = exec.run(&spec, None);
-    assert_eq!(cache.stats().hits, 12, "second pass must be all hits");
-    assert_eq!(cache.stats().misses, 12);
-    assert_eq!(first, second, "cache hits must not change results");
 }
 
 #[test]
