@@ -95,16 +95,29 @@ fn trailer_applies_to_sweep_commands_only() {
 }
 
 #[test]
-fn removed_optimum_store_flags_are_unknown_arguments() {
-    // Sweeps derive every optimum directly, so there is no store to load,
-    // save or share: these flags fail like any misspelling, everywhere.
-    for command in ["grid", "sweep", "orchestrate"] {
-        for flag in ["--cache-in", "--cache-out", "--optimum-server"] {
+fn cache_snapshot_flags_are_rejected_outside_sweep_commands() {
+    // Sweeps derive every optimum directly, so there is no store to load or
+    // save: the snapshot flags fail like any misspelling, on the sweep
+    // commands as much as outside them.
+    for command in ["bench", "serve", "orchestrate", "grid", "sweep"] {
+        for flag in ["--cache-in", "--cache-out"] {
             assert_dies(
-                &[command, flag, "x"],
+                &[command, flag, "warm.snap"],
                 &[&format!("unknown argument: {flag}")],
             );
         }
+    }
+}
+
+#[test]
+fn optimum_server_is_rejected_outside_worker_contexts() {
+    // No sweep consults a live optimum store any more, so --optimum-server
+    // is an unknown argument in every context, worker or not.
+    for command in ["bench", "serve", "orchestrate", "grid", "sweep"] {
+        assert_dies(
+            &[command, "--optimum-server", "127.0.0.1:9"],
+            &["unknown argument: --optimum-server"],
+        );
     }
 }
 

@@ -1,6 +1,7 @@
 //! Executor acceptance tests: sharded output byte-identical to the serial
-//! loop over the 1,000-cell canonical grid, and every cell's optimum equal
-//! to a direct call of the closed-form optimizer.
+//! loop over the 1,000-cell canonical grid, every cell's optimum equal to
+//! a direct call of the closed-form optimizer, and the daemon's optimum
+//! cache collapsing the grid's repeated cells onto those same optima.
 
 // Every test in this file is a Monte-Carlo or full-grid acceptance run;
 // under Miri's interpreter each would take minutes to hours, so the whole
@@ -8,6 +9,7 @@
 // comes from the small cfg-gated unit tests in `src/`.
 #![cfg(not(miri))]
 
+use resilience::cache::OptimumCache;
 use resilience::sweep::{grid_spec, SweepSpec, Theorem};
 use resilience::{reference_scenarios, Pattern};
 use sim::executor::{CellResult, SimSettings, SweepExecutor};
@@ -102,6 +104,93 @@ fn every_grid_cell_is_the_direct_optimum_at_any_worker_count_and_sharding() {
         sharded.extend(SweepExecutor::new(2).run_range(&spec, lo..hi, None));
     }
     assert_eq!(optima(sharded), direct, "3-way shard concatenation");
+}
+
+// The sweep path no longer goes through `OptimumCache`, but the daemon's
+// batcher still answers `optimum` queries from one. These tests pin that a
+// cache fed the grid's cells collapses the repeats exactly and hands back
+// the very optima the executor derives directly, so a cached daemon answer
+// and a sweep row can never disagree.
+
+#[test]
+fn optimum_cache_collapses_the_grid_repeats() {
+    // The grid's geometric axes repeat platform rates bit-exactly, so a
+    // single serial pass must already hit: 10×10 (nodes, mtbf) pairs share
+    // 19 distinct ratios, ×10 recalls = 190 distinct optimizer inputs for
+    // 1,000 cells.
+    let spec = grid_spec(10);
+    let cache = OptimumCache::new();
+    let cached: Vec<_> = spec
+        .iter()
+        .map(|cell| cache.optimum(&cell.platform, &cell.costs, cell.theorem))
+        .collect();
+    let stats = cache.stats();
+    assert_eq!(stats.hits + stats.misses, 1_000);
+    assert_eq!(stats.entries, 190);
+    assert_eq!(stats.misses, 190);
+    assert_eq!(stats.hits, 810, "repeated cells must hit the cache");
+    let direct: Vec<_> = SweepExecutor::new(1)
+        .run(&spec, None)
+        .into_iter()
+        .map(|r| r.optimum)
+        .collect();
+    assert_eq!(cached, direct, "cached optima must equal the sweep's");
+}
+
+#[test]
+fn repeated_sweeps_hit_a_shared_cache_exactly() {
+    let spec = SweepSpec::new()
+        .scenarios(&reference_scenarios())
+        .all_theorems();
+    let cache = OptimumCache::new();
+    let pass = |cache: &OptimumCache| -> Vec<_> {
+        spec.iter()
+            .map(|cell| cache.optimum(&cell.platform, &cell.costs, cell.theorem))
+            .collect()
+    };
+
+    let first = pass(&cache);
+    assert_eq!(cache.stats().hits, 0);
+    assert_eq!(cache.stats().misses, 12);
+
+    let second = pass(&cache);
+    assert_eq!(cache.stats().hits, 12, "second pass must be all hits");
+    assert_eq!(cache.stats().misses, 12);
+    assert_eq!(first, second, "cache hits must not change results");
+    let direct: Vec<_> = SweepExecutor::new(1)
+        .run(&spec, None)
+        .into_iter()
+        .map(|r| r.optimum)
+        .collect();
+    assert_eq!(first, direct, "cached optima must equal the sweep's");
+}
+
+#[test]
+fn threaded_grid_preserves_exact_query_totals() {
+    // Workers sharing one cache must not lose or duplicate queries, and the
+    // accounting must be *schedule-independent*: a query is a miss iff its
+    // insert wins the vacant entry, so the threaded totals are exactly the
+    // serial pass's 810 hits / 190 misses — not merely summing to 1,000 —
+    // for any worker count and interleaving.
+    let spec = grid_spec(10);
+    let cells: Vec<_> = spec.iter().collect();
+    for workers in [2, 4, 8] {
+        let cache = OptimumCache::new();
+        std::thread::scope(|scope| {
+            for chunk in cells.chunks(cells.len().div_ceil(workers)) {
+                let cache = &cache;
+                scope.spawn(move || {
+                    for cell in chunk {
+                        cache.optimum(&cell.platform, &cell.costs, cell.theorem);
+                    }
+                });
+            }
+        });
+        let stats = cache.stats();
+        assert_eq!(stats.hits, 810, "{workers} workers: hits");
+        assert_eq!(stats.misses, 190, "{workers} workers: misses");
+        assert_eq!(stats.entries, 190, "{workers} workers: entries");
+    }
 }
 
 #[test]
