@@ -201,23 +201,39 @@ fn h4(platform: &Platform, costs: &CostModel, n: f64, m: f64) -> f64 {
     2.0 * (o_ef * o_rw).sqrt()
 }
 
+/// The most distinct `(n, m)` pairs one [`theorem4`] call scores: its two
+/// boundary candidates plus the four corners of each of its two
+/// [`best_integer_pair`] polishes.
+const H4_MEMO_CAP: usize = 2 + 2 * 4;
+
 /// Memoized `h4` evaluation for the warm-started Theorem-4 candidate
-/// search: a linear scan over the (at most ~10) candidates already scored
-/// is cheaper than hashing, and returning the *stored* value keeps every
-/// comparison bit-for-bit identical to an un-memoized run.
-fn h4_memo(
-    evals: &mut Vec<(u64, u64, f64)>,
-    platform: &Platform,
-    costs: &CostModel,
-    n: u64,
-    m: u64,
-) -> f64 {
-    if let Some(&(_, _, h)) = evals.iter().find(|&&(en, em, _)| en == n && em == m) {
-        return h;
+/// search, held on the stack: a linear scan over the (at most
+/// [`H4_MEMO_CAP`]) candidates already scored is cheaper than hashing or
+/// allocating, and returning the *stored* value keeps every comparison
+/// bit-for-bit identical to an un-memoized run.
+struct H4Memo {
+    evals: [(u64, u64, f64); H4_MEMO_CAP],
+    len: usize,
+}
+
+impl H4Memo {
+    fn new() -> Self {
+        H4Memo {
+            evals: [(0, 0, 0.0); H4_MEMO_CAP],
+            len: 0,
+        }
     }
-    let h = h4(platform, costs, n as f64, m as f64);
-    evals.push((n, m, h));
-    h
+
+    fn eval(&mut self, platform: &Platform, costs: &CostModel, n: u64, m: u64) -> f64 {
+        let scored = &self.evals[..self.len];
+        if let Some(&(_, _, h)) = scored.iter().find(|&&(en, em, _)| en == n && em == m) {
+            return h;
+        }
+        let h = h4(platform, costs, n as f64, m as f64);
+        self.evals[self.len] = (n, m, h);
+        self.len += 1;
+        h
+    }
 }
 
 /// Theorem 4: the combined pattern with `m` guaranteed sub-segments and `n`
@@ -233,7 +249,7 @@ fn h4_memo(
 /// candidate is bracketed by this query's *own* closed-form continuous
 /// optima (`m̄₂` along the `n = 0` boundary, `m̄₃` along `m = 1`), so the
 /// interval examined is a handful of points regardless of platform scale,
-/// and the [`h4_memo`] table evaluates each `(n, m)` at most once (boundary
+/// and the [`H4Memo`] table evaluates each `(n, m)` at most once (boundary
 /// candidates and polish corners overlap). Everything is a pure function of
 /// `(platform, costs)` — cell order, sharding, and cache state cannot
 /// change the result, and the memo returns stored values so the selected
@@ -241,25 +257,25 @@ fn h4_memo(
 pub fn theorem4(platform: &Platform, costs: &CostModel) -> PatternOptimum {
     let (m2_bar, m2) = th2_core(platform, costs);
     let (m3_bar, m3) = th3_core(platform, costs);
-    let mut evals: Vec<(u64, u64, f64)> = Vec::with_capacity(12);
+    let mut memo = H4Memo::new();
     // (n, m) candidates; k = n + 1 so that both coordinates share the ≥ 1
     // clamp of best_integer_pair.
-    let mut best: (u64, u64, f64) = (0, m2, h4_memo(&mut evals, platform, costs, 0, m2));
-    let mut consider = |evals: &mut Vec<(u64, u64, f64)>, n: u64, m: u64| {
-        let h = h4_memo(evals, platform, costs, n, m);
+    let mut best: (u64, u64, f64) = (0, m2, memo.eval(platform, costs, 0, m2));
+    let mut consider = |memo: &mut H4Memo, n: u64, m: u64| {
+        let h = memo.eval(platform, costs, n, m);
         if h < best.2 {
             best = (n, m, h);
         }
     };
-    consider(&mut evals, m3 - 1, 1);
+    consider(&mut memo, m3 - 1, 1);
     for (m_star, k_star) in [(m2_bar.max(1.0), 1.0), (1.0, m3_bar.max(1.0))] {
         let (m, k, _) = best_integer_pair(
-            |m, k| h4_memo(&mut evals, platform, costs, k - 1, m),
+            |m, k| memo.eval(platform, costs, k - 1, m),
             m_star,
             k_star,
             1,
         );
-        consider(&mut evals, k - 1, m);
+        consider(&mut memo, k - 1, m);
     }
 
     let (n, m, _) = best;

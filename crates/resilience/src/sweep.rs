@@ -26,7 +26,7 @@ use crate::scenario::Scenario;
 use stats::rates::YEAR;
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The paper's four pattern theorems, as dispatchable data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -93,22 +93,100 @@ impl fmt::Display for CellName {
                 nodes,
                 mtbf_years,
                 recall,
-            } => {
-                // The grid's MTBF axis is integral, and core formats an
-                // exactly integral float with `{:.0}` through its slow
-                // exact-mode fallback. Below 2^53 the integer has the same
-                // digits; -0.0 (which `{:.0}` prints as "-0") and every
-                // non-integral value fail the bit comparison and stay on
-                // the float path.
-                let whole = *mtbf_years as u64;
-                if whole < 1 << 53 && (whole as f64).to_bits() == mtbf_years.to_bits() {
-                    write!(f, "{nodes}n-{whole}y-r{recall}")
-                } else {
-                    write!(f, "{nodes}n-{mtbf_years:.0}y-r{recall}")
+            } => match grid_labels().get(*nodes, *mtbf_years, *recall) {
+                Some([n, y, r]) => {
+                    f.write_str(n)?;
+                    f.write_str(y)?;
+                    f.write_str(r)
                 }
-            }
+                None => write!(f, "{nodes}n-{mtbf_years:.0}y-r{recall}"),
+            },
         }
     }
+}
+
+/// Every canonical axis value's piece of a grid name, rendered once with
+/// the very format specs of the fallback `"{nodes}n-{years:.0}y-r{recall}"`,
+/// so a name copied from here is byte-identical to the formatted one by
+/// construction. Built on first use and never written again, so workers
+/// read it without contention.
+struct GridLabels {
+    nodes: Vec<String>,
+    years: Vec<String>,
+    recall: Vec<String>,
+}
+
+fn grid_labels() -> &'static GridLabels {
+    static LABELS: OnceLock<GridLabels> = OnceLock::new();
+    LABELS.get_or_init(|| GridLabels {
+        nodes: (0..GRID_AXIS_LEN)
+            .map(|i| format!("{}n-", grid_nodes_at(i)))
+            .collect(),
+        years: (0..GRID_AXIS_LEN)
+            .map(|i| format!("{:.0}y-", grid_mtbf_years_at(i)))
+            .collect(),
+        recall: (0..GRID_AXIS_LEN)
+            .map(|i| format!("r{}", grid_recall_at(i)))
+            .collect(),
+    })
+}
+
+impl GridLabels {
+    /// The three name pieces of a point whose values all lie on the
+    /// canonical axes, or `None` when any of them does not.
+    fn get(&self, nodes: u64, years: f64, recall: f64) -> Option<[&str; 3]> {
+        Some([
+            &self.nodes[grid_nodes_index(nodes)?],
+            &self.years[grid_mtbf_years_index(years)?],
+            &self.recall[grid_recall_index(recall)?],
+        ])
+    }
+}
+
+/// The index `i` with `grid_nodes_at(i) == nodes`, if any. The candidate
+/// comes from inverting the axis formula and is confirmed against it.
+fn grid_nodes_index(nodes: u64) -> Option<usize> {
+    let i = if nodes <= GRID_NODES[9] {
+        // 1,000 · 2^i.
+        u64::from((nodes / 1_000).trailing_zeros())
+    } else {
+        (nodes - GRID_NODES[9]) / 51_200 + 9
+    };
+    let i = usize::try_from(i).ok().filter(|&i| i < GRID_AXIS_LEN)?;
+    (grid_nodes_at(i) == nodes).then_some(i)
+}
+
+/// The index `i` whose `grid_mtbf_years_at(i)` has the bits of `years`, if
+/// any (so `-0.0` and NaN never match).
+fn grid_mtbf_years_index(years: f64) -> Option<usize> {
+    let i = if years <= GRID_MTBF_YEARS[9] {
+        GRID_MTBF_YEARS
+            .iter()
+            .position(|y| y.to_bits() == years.to_bits())?
+    } else {
+        let k = ((years - GRID_MTBF_YEARS[9]) / 1_280.0 + 9.0).round();
+        if !(0.0..GRID_AXIS_LEN as f64).contains(&k) {
+            return None;
+        }
+        k as usize
+    };
+    (grid_mtbf_years_at(i).to_bits() == years.to_bits()).then_some(i)
+}
+
+/// The index `i` whose `grid_recall_at(i)` has the bits of `recall`, if
+/// any. The axis is not monotonic (index 10 is 0.105), so the continuation
+/// `(2i+1)/200` is inverted first and the canonical decade searched after.
+fn grid_recall_index(recall: f64) -> Option<usize> {
+    let k = ((recall * 200.0 - 1.0) / 2.0).round();
+    if (GRID_RECALLS.len() as f64..GRID_AXIS_LEN as f64).contains(&k) {
+        let i = k as usize;
+        if grid_recall_at(i).to_bits() == recall.to_bits() {
+            return Some(i);
+        }
+    }
+    GRID_RECALLS
+        .iter()
+        .position(|r| r.to_bits() == recall.to_bits())
 }
 
 impl PartialEq for CellName {
@@ -507,6 +585,59 @@ mod tests {
                 format!("1000n-{y:.0}y-r0.35"),
                 "years {y:e}"
             );
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn every_axis_label_renders_like_the_format_string() {
+        // All 100 values of each axis, past index 9 where the 10³ golden
+        // never reaches, each paired with many values of the other two.
+        for i in 0..GRID_AXIS_LEN {
+            for j in 0..GRID_AXIS_LEN {
+                let k = (i * 7 + j * 13) % GRID_AXIS_LEN;
+                for (a, b, c) in [(i, j, k), (k, i, j), (j, k, i)] {
+                    let (nodes, years, recall) =
+                        (grid_nodes_at(a), grid_mtbf_years_at(b), grid_recall_at(c));
+                    let name = CellName::GridPoint {
+                        nodes,
+                        mtbf_years: years,
+                        recall,
+                    };
+                    assert_eq!(
+                        name.to_string(),
+                        format!("{nodes}n-{years:.0}y-r{recall}"),
+                        "axis indices ({a}, {b}, {c})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn axis_inverses_find_exactly_the_canonical_values() {
+        for i in 0..GRID_AXIS_LEN {
+            assert_eq!(grid_nodes_index(grid_nodes_at(i)), Some(i));
+            assert_eq!(grid_mtbf_years_index(grid_mtbf_years_at(i)), Some(i));
+            assert_eq!(grid_recall_index(grid_recall_at(i)), Some(i));
+            let (nodes, years, recall) =
+                (grid_nodes_at(i), grid_mtbf_years_at(i), grid_recall_at(i));
+            for off in [nodes - 1, nodes + 1, nodes + 25_600] {
+                assert_eq!(grid_nodes_index(off), None, "nodes {off}");
+            }
+            for off in [years.next_down(), years.next_up(), years + 640.0, -years] {
+                assert_eq!(grid_mtbf_years_index(off), None, "years {off:e}");
+            }
+            for off in [recall.next_down(), recall.next_up(), recall + 0.0025] {
+                assert_eq!(grid_recall_index(off), None, "recall {off:e}");
+            }
+        }
+        for x in [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300] {
+            assert_eq!(grid_mtbf_years_index(x), None, "years {x:e}");
+            assert_eq!(grid_recall_index(x), None, "recall {x:e}");
+        }
+        for n in [0, 1, 999, u64::MAX] {
+            assert_eq!(grid_nodes_index(n), None, "nodes {n}");
         }
     }
 
